@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mptspec import (
     InvalidInputError,
     Mode,
     SpectralModel,
+    SphereSpec,
     SymTensor3,
     TransientKernel,
     Waveform,
@@ -17,9 +20,12 @@ from mptspec import (
     impulse_kernel,
     limit_tensors,
     mode_tensor,
+    sphere_spectral_model,
     step_kernel,
     transient_field,
 )
+
+from conftest import random_model
 
 
 def two_mode_model():
@@ -157,11 +163,123 @@ class TestConvolution:
                 out.coeffs, oracle, rtol=1e-8, atol=1e-12 * out.norm()
             )
 
-    def test_unordered_query_times_rejected(self):
+    @pytest.mark.parametrize(
+        "query",
+        [[2.0, 1.0], [np.nan], [1e-4, np.nan], [np.inf]],
+        ids=["decreasing", "nan", "trailing-nan", "inf"],
+    )
+    def test_unordered_query_times_rejected(self, query):
         model = two_mode_model()
         wave = Waveform(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-        with pytest.raises(InvalidInputError):
-            convolve_excitation(model, wave, np.array([2.0, 1.0]))
+        with pytest.raises(InvalidInputError, match="query times"):
+            convolve_excitation(model, wave, np.array(query))
+
+    def test_empty_query_times(self):
+        model = two_mode_model()
+        wave = Waveform(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        assert convolve_excitation(model, wave, np.array([])) == []
+
+    def test_zero_mode_model_scales_n0(self):
+        model = SpectralModel(
+            alpha=0.01, sigma_star=5.96e6, n0=SymTensor3.diag(1e-6, 2e-6, 3e-6),
+            modes=(),
+        )
+        wave = Waveform(np.array([1.0, 2.0, 3.0]), np.array([0.5, 1.5, -1.0]))
+        times = np.array([0.5, 1.0, 1.5, 3.0, 4.0])
+        for t, out in zip(times, convolve_excitation(model, wave, times)):
+            np.testing.assert_array_equal(out.coeffs, wave(t) * model.n0.coeffs)
+
+
+def _segment_integral(s_n, t: float, t0: float, t1: float, a: float, b: float):
+    # int_{t0}^{t1} s e^{s (t - tau)} (a + b tau) dtau, all exponents <= 0
+    def antiderivative(tau):
+        return (-(a + b * tau) - b / s_n) * np.exp(s_n * (t - tau))
+
+    return antiderivative(t1) - antiderivative(t0)
+
+
+def per_segment_convolution(model, excitation, query_times) -> np.ndarray:
+    """Reference: every segment re-integrated up to every query, (Q, 6)."""
+    kernel = TransientKernel.impulse(model)
+    rates = np.array([s_n for s_n, _ in kernel.exp_terms])
+    residues = np.array([b_n.coeffs / s_n for s_n, b_n in kernel.exp_terms])
+    residues = residues.reshape(rates.size, 6)
+    out = []
+    for t in query_times:
+        weight = np.zeros(rates.size)
+        for t0, t1, a, b in excitation.segments_until(t):
+            weight += _segment_integral(rates, t, t0, t1, a, b)
+        out.append(excitation(t) * kernel.delta_part.coeffs + weight @ residues)
+    return np.array(out)
+
+
+def output_scale(model, excitation) -> float:
+    """Bound on any output norm: sup |u| times the kernel's total variation."""
+    kernel = TransientKernel.impulse(model)
+    total = kernel.delta_part.norm() + sum(
+        b_n.norm() / abs(s_n) for s_n, b_n in kernel.exp_terms
+    )
+    return float(np.abs(excitation.values).max()) * total
+
+
+class TestRecursiveConvolution:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_modes=st.integers(1, 100),
+        n_samples=st.integers(1, 40),
+        n_random=st.integers(0, 20),
+    )
+    def test_matches_per_segment_closed_form(self, seed, n_modes, n_samples, n_random):
+        model = random_model(seed, n_modes)
+        rng = np.random.default_rng(seed)
+        slowest = model.time_constant / model.modes[0].lam
+        gaps = rng.uniform(0.2, 1.0, n_samples + 1)
+        times = np.cumsum(gaps) * (6.0 * slowest / gaps.sum())
+        wave = Waveform(times[1:], rng.standard_normal(n_samples))
+        # before the first sample, on and repeated at breakpoints, inside
+        # pieces and past the last sample
+        span = wave.times[-1] + slowest
+        queries = np.sort(
+            np.concatenate(
+                [
+                    [0.0, wave.times[0]],
+                    rng.choice(wave.times, size=min(n_samples, 5)),
+                    wave.times[: min(n_samples, 3)],
+                    rng.uniform(0.0, 1.5 * span, n_random),
+                    [span, span],
+                ]
+            )
+        )
+        got = np.array([o.coeffs for o in convolve_excitation(model, wave, queries)])
+        want = per_segment_convolution(model, wave, queries)
+        np.testing.assert_allclose(
+            got, want, rtol=0, atol=1e-11 * output_scale(model, wave)
+        )
+
+    def test_long_stiff_record(self):
+        model = sphere_spectral_model(SphereSpec(0.01, 1.5, 5.96e6), 100, tail_modes=0)
+        rng = np.random.default_rng(7)
+        slowest = model.time_constant / model.modes[0].lam
+        gaps = rng.uniform(0.2, 1.0, 400)
+        times = (np.cumsum(gaps) - gaps[0]) * (6.0 * slowest / gaps.sum())
+        queries = np.sort(rng.uniform(0.0, 1.2 * times[-1], 400))
+        # a constant sampled 400 times is a unit step at t = 0
+        step = Waveform(times, np.ones(400))
+        kernel = TransientKernel.step(model)
+        for t, out in zip(queries, convolve_excitation(model, step, queries)):
+            expect = kernel.smooth_at(t)
+            assert (out - expect).norm() <= 1e-9 * expect.norm()
+        wave = Waveform(times, rng.standard_normal(400))
+        got = convolve_excitation(model, wave, queries)
+        probe = np.arange(0, 400, 40)
+        want = per_segment_convolution(model, wave, queries[probe])
+        np.testing.assert_allclose(
+            np.array([got[k].coeffs for k in probe]),
+            want,
+            rtol=0,
+            atol=1e-11 * output_scale(model, wave),
+        )
 
 
 class TestTransientField:
@@ -231,14 +349,29 @@ class TestLaplaceConsistency:
 
 class TestTruncationBound:
     def test_tail_bound_propagates_from_model(self):
-        from mptspec import sphere_spectral_model, SphereSpec
-
         model = sphere_spectral_model(SphereSpec(0.01, 1.5, 5.96e6), 8)
         assert model.tail_bound is not None
         kernel = TransientKernel.step(model)
         assert kernel.truncation_bound == model.tail_bound
         plain = TransientKernel.step(two_mode_model())
         assert plain.truncation_bound == 0.0
+
+
+class TestKernelValidation:
+    def test_nan_rate_rejected(self):
+        with pytest.raises(InvalidInputError, match="finite and negative"):
+            TransientKernel(
+                steady=SymTensor3.zero(),
+                delta_part=SymTensor3.zero(),
+                exp_terms=((np.nan, SymTensor3.identity()),),
+            )
+
+    def test_slowest_rate_without_decay_terms(self):
+        model = SpectralModel(
+            alpha=0.01, sigma_star=5.96e6, n0=SymTensor3.diag(1.0, 2.0, 3.0), modes=()
+        )
+        with pytest.raises(InvalidInputError, match="no decay terms"):
+            TransientKernel.step(model).slowest_rate()
 
 
 class TestWaveformSemantics:
