@@ -17,7 +17,7 @@ from . import fitting, modelio, poleresidue, surrogate, transient
 from .errors import MptError
 from .spectral import SpectralModel, assemble, commutator_Z
 from .sphere import SphereSpec, mpt_sphere, sphere_spectral_model
-from .tensors import perturbed_field
+from .tensors import PACKED_LABELS, perturbed_field
 
 
 class _UsageError(Exception):
@@ -45,16 +45,8 @@ def _frequency_grid(fmin: float, fmax: float, points: int, log: bool) -> np.ndar
 def _sweep_rows(model: SpectralModel, freq: np.ndarray):
     omega = 2.0 * np.pi * freq
     nu = model.nu_from_omega(omega)
-    n = len(nu)
-    r_rows = np.empty((n, 6))
-    i_rows = np.empty((n, 6))
-    rem = np.empty((n, 6))
-    for k, nu_k in enumerate(nu):
-        r_t, i_t, m_t = assemble(model, nu_k)
-        r_rows[k] = r_t.coeffs
-        i_rows[k] = i_t.coeffs
-        rem[k] = m_t.real.coeffs
-    return nu, omega, r_rows, i_rows, rem, i_rows.copy()
+    r_rows, i_rows = fitting.sweep_coefficients(model, nu)
+    return nu, omega, r_rows, i_rows, model.n0.coeffs + r_rows, i_rows
 
 
 def _cmd_sweep(args) -> int:
@@ -170,7 +162,7 @@ def _cmd_transient(args) -> int:
             delta_path,
             {
                 "delta_coefficient": [float(c) for c in kernel.delta_part.coeffs],
-                "order": ["11", "22", "33", "12", "13", "23"],
+                "order": list(PACKED_LABELS),
                 "note": "distributional part at t = 0; never sampled on the grid",
             },
         )
@@ -223,7 +215,7 @@ def _cmd_ml_eval(args) -> int:
         "point": [args.re, args.im],
         "ReM": [float(c) for c in value.real.coeffs],
         "ImM": [float(c) for c in value.imag.coeffs],
-        "order": ["11", "22", "33", "12", "13", "23"],
+        "order": list(PACKED_LABELS),
     }
     print(json.dumps(payload, indent=2))
     return 0

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NoFitError
 from .spectral import SpectralModel, assemble
+from .tensors import PACKED_LABELS
 
 _DAMPING_START = 1e-3
 _DAMPING_UP = 10.0
@@ -29,7 +30,7 @@ _DAMPING_DOWN = 10.0
 _STEP_TOL = 1e-10
 _MAX_ITER = 200
 
-COEFF_LABELS = ("11", "22", "33", "12", "13", "23")
+COEFF_LABELS = PACKED_LABELS
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,13 @@ def default_fit_grid(nu_max: float, points: int = 200) -> np.ndarray:
 
 
 def sweep_coefficients(model: SpectralModel, nu: np.ndarray):
-    """R and I coefficient arrays, shape (n, 6), packed like SymTensor3."""
+    """R and I coefficient arrays, shape (n, 6), packed like SymTensor3.
+
+    One ``assemble`` call per point on purpose: the traced benchmark
+    (``perfbench``, workload ``sphere_pipeline``) expects ``spectral.assemble``
+    spans from the CLI sweep.  Contracting the whole grid at once needs a
+    benchmark change first (ROADMAP item 2).
+    """
     r_rows = np.empty((nu.size, 6))
     i_rows = np.empty((nu.size, 6))
     for k, nu_k in enumerate(nu):

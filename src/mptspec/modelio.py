@@ -16,16 +16,13 @@ import numpy as np
 
 from .errors import SchemaError
 from .spectral import Mode, SpectralModel
-from .tensors import SymTensor3
+from .tensors import PACKED_LABELS, SymTensor3
 
 SCHEMA_VERSION = 1
 
 SWEEP_HEADER = (
     ["nu", "omega_rad_s", "f_Hz"]
-    + [f"R{lbl}" for lbl in ("11", "22", "33", "12", "13", "23")]
-    + [f"I{lbl}" for lbl in ("11", "22", "33", "12", "13", "23")]
-    + [f"ReM{lbl}" for lbl in ("11", "22", "33", "12", "13", "23")]
-    + [f"ImM{lbl}" for lbl in ("11", "22", "33", "12", "13", "23")]
+    + [f"{part}{lbl}" for part in ("R", "I", "ReM", "ImM") for lbl in PACKED_LABELS]
 )
 
 
@@ -165,7 +162,7 @@ def read_sweep_csv(path: str) -> dict:
 
 def write_transient_csv(path: str, times: np.ndarray, rows: np.ndarray) -> None:
     """Kernel time series: t_s then the six packed coefficients."""
-    header = ["t_s"] + [f"K{lbl}" for lbl in ("11", "22", "33", "12", "13", "23")]
+    header = ["t_s"] + [f"K{lbl}" for lbl in PACKED_LABELS]
     lines = [",".join(header)]
     for k in range(len(times)):
         lines.append(",".join(_fmt(v) for v in [times[k], *rows[k]]))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, PoleProximityError
-from .spectral import SpectralModel, mode_tensor
+from .spectral import MU0, SpectralModel, mode_tensor
 from .tensors import ComplexSymTensor3, SymTensor3
 
 POLE_PROXIMITY_REL = 1e-12
@@ -58,7 +58,7 @@ class PoleResidueExpansion:
     @property
     def scale_w_per_s(self) -> float:
         """w = -s * mu0 * sigma_star * alpha^2."""
-        return 4.0e-7 * np.pi * self.sigma_star * self.alpha**2
+        return MU0 * self.sigma_star * self.alpha**2
 
     @property
     def poles_w(self) -> np.ndarray:

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, NoDominantModeError
-from .tensors import ComplexSymTensor3, Rotation3, SymTensor3, rotate_tensor
+from .tensors import (
+    ComplexSymTensor3,
+    Rotation3,
+    SymTensor3,
+    packed_index,
+    rotate_tensor,
+)
 
 MU0 = 4.0e-7 * np.pi  # permeability of free space, H/m
 
@@ -48,7 +54,9 @@ class Mode:
             raise InvalidInputError(f"mode eigenvalue must be positive, got {self.lam}")
         if self.multiplicity < 1:
             raise InvalidInputError("multiplicity must be >= 1")
-        c = np.asarray(self.couplings, dtype=float)
+        # a private read-only copy, so no caller can change a cached core
+        c = np.array(self.couplings, dtype=float)
+        c.setflags(write=False)
         if c.shape != (self.multiplicity, 3):
             raise InvalidInputError(
                 f"couplings must be {self.multiplicity}x3, got {c.shape}"
@@ -131,21 +139,23 @@ class FrequencyGrid:
         return model.nu_from_omega(self.values)
 
 
-def _beta_parts(nu: float, lam: float) -> tuple[float, float, float]:
+def _finite(nu: float, name: str = "nu") -> float:
+    if not np.isfinite(nu):
+        raise DomainError(f"{name} must be finite, got {nu}")
+    return nu
+
+
+def _beta_parts(nu, lam):
     # overflow-safe: work with the smaller/larger ratio so nu^2 + lam^2 is
-    # never formed; also returns (lam^2 - nu^2)/(lam^2 + nu^2)
-    if nu <= lam:
-        x = nu / lam
-        denom = 1.0 + x * x
-        re = -(x * x) / denom
-        im = x / denom
-        ratio = (1.0 - x * x) / denom
-    else:
-        x = lam / nu
-        denom = 1.0 + x * x
-        re = -1.0 / denom
-        im = x / denom
-        ratio = (x * x - 1.0) / denom
+    # never formed; also returns (lam^2 - nu^2)/(lam^2 + nu^2).  Broadcasts
+    # over arrays; nu = 0 gives exact zeros since max(nu, lam) = lam > 0.
+    low = nu <= lam
+    x = np.minimum(nu, lam) / np.maximum(nu, lam)
+    x2 = x * x
+    denom = 1.0 + x2
+    re = -np.where(low, x2, 1.0) / denom
+    im = x / denom
+    ratio = np.where(low, 1.0 - x2, x2 - 1.0) / denom
     return re, im, ratio
 
 
@@ -157,10 +167,10 @@ def beta(nu: float, lam: float) -> complex:
     """
     if not (np.isfinite(lam) and lam > 0.0):
         raise InvalidInputError(f"mode eigenvalue must be positive, got {lam}")
-    if nu < 0.0:
+    if _finite(nu) < 0.0:
         raise DomainError("nu must be nonnegative")
     re, im, _ = _beta_parts(nu, lam)
-    return complex(re, im)
+    return complex(float(re), float(im))
 
 
 def beta_dlog(nu: float, lam: float) -> tuple[float, float, float]:
@@ -172,13 +182,14 @@ def beta_dlog(nu: float, lam: float) -> tuple[float, float, float]:
     """
     if not (np.isfinite(lam) and lam > 0.0):
         raise InvalidInputError(f"mode eigenvalue must be positive, got {lam}")
-    if nu <= 0.0:
+    if _finite(nu) <= 0.0:
         raise DomainError("log-frequency derivative requires nu > 0")
+    return tuple(float(d) for d in _dlog_parts(nu, lam))
+
+
+def _dlog_parts(nu, lam):
     _, im, ratio = _beta_parts(nu, lam)
-    d_re = -2.0 * im * im
-    d2_re = -4.0 * im * im * ratio
-    d_im = im * ratio
-    return d_re, d2_re, d_im
+    return -2.0 * im * im, -4.0 * im * im * ratio, im * ratio
 
 
 def mode_tensor(model: SpectralModel, n: int) -> SymTensor3:
@@ -191,6 +202,30 @@ def mode_tensor(model: SpectralModel, n: int) -> SymTensor3:
     return SymTensor3.from_matrix(scale * mode.gram())
 
 
+def _core(model: SpectralModel) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, shape (n,), and packed residues A_n, shape (n, 6).
+
+    Built on first use and cached on the model; both the model and its
+    modes are immutable, so the cache cannot go stale.
+    """
+    core = model.__dict__.get("_core")
+    if core is None:
+        n = len(model.modes)
+        lams = np.array([m.lam for m in model.modes], dtype=float)
+        a = np.array([mode_tensor(model, k).coeffs for k in range(n)]).reshape(n, 6)
+        lams.setflags(write=False)
+        a.setflags(write=False)
+        core = (lams, a)
+        object.__setattr__(model, "_core", core)
+    return core
+
+
+def _contract(weights: np.ndarray, a: np.ndarray) -> list[SymTensor3]:
+    # -sum_n w_n A_n for each row of weights; 0.0 - keeps exact zero
+    # coefficients at +0.0, as the sum from a zero start gives them
+    return [SymTensor3(row) for row in 0.0 - weights @ a]
+
+
 def assemble(
     model: SpectralModel, nu: float
 ) -> tuple[SymTensor3, SymTensor3, ComplexSymTensor3]:
@@ -200,46 +235,28 @@ def assemble(
     I(nu) = -sum_n [nu lam_n/(nu^2+lam_n^2)] A_n positive semidefinite, and
     M = N0 + R + iI.
     """
-    if nu < 0.0:
+    if _finite(nu) < 0.0:
         raise DomainError("nu must be nonnegative")
-    r = np.zeros(6)
-    im = np.zeros(6)
-    for n in range(len(model.modes)):
-        b = beta(nu, model.modes[n].lam)
-        a = mode_tensor(model, n).coeffs
-        r -= b.real * a
-        im -= b.imag * a
-    r_t = SymTensor3(r)
-    i_t = SymTensor3(im)
-    m_t = ComplexSymTensor3(model.n0 + r_t, i_t)
-    return r_t, i_t, m_t
+    lams, a = _core(model)
+    re, im, _ = _beta_parts(nu, lams)
+    r_t, i_t = _contract(np.stack((re, im)), a)
+    return r_t, i_t, ComplexSymTensor3(model.n0 + r_t, i_t)
 
 
 def assemble_dlog(
     model: SpectralModel, nu: float
 ) -> tuple[SymTensor3, SymTensor3, SymTensor3]:
     """Log-frequency derivatives (dR/dlog, d2R/dlog2, dI/dlog) at nu > 0."""
-    if nu <= 0.0:
+    if _finite(nu) <= 0.0:
         raise DomainError("log-frequency derivative requires nu > 0")
-    d_r = np.zeros(6)
-    d2_r = np.zeros(6)
-    d_i = np.zeros(6)
-    for n in range(len(model.modes)):
-        lam = model.modes[n].lam
-        a = mode_tensor(model, n).coeffs
-        dre, d2re, dim = beta_dlog(nu, lam)
-        d_r -= dre * a
-        d2_r -= d2re * a
-        d_i -= dim * a
-    return SymTensor3(d_r), SymTensor3(d2_r), SymTensor3(d_i)
+    lams, a = _core(model)
+    return tuple(_contract(np.stack(_dlog_parts(nu, lams)), a))
 
 
 def limit_tensors(model: SpectralModel) -> tuple[SymTensor3, SymTensor3]:
     """Zero- and infinite-frequency limits (M0, Minf) = (N0, N0 + sum A_n)."""
-    minf = model.n0
-    for n in range(len(model.modes)):
-        minf = minf + mode_tensor(model, n)
-    return model.n0, minf
+    _, a = _core(model)
+    return model.n0, model.n0 + SymTensor3(a.sum(axis=0))
 
 
 def dominant_mode(model: SpectralModel, i: int, j: int, nu_max: float) -> int:
@@ -248,21 +265,16 @@ def dominant_mode(model: SpectralModel, i: int, j: int, nu_max: float) -> int:
     Scores each mode by the peak of |Im beta_n| * |A_n_ij| on the band; the
     peak sits at nu = min(lam_n, nu_max).  Ties break toward smaller lam.
     """
-    if nu_max <= 0.0:
+    if _finite(nu_max, "nu_max") <= 0.0:
         raise DomainError("nu_max must be positive")
-    best, best_score = None, 0.0
-    for n in range(len(model.modes)):
-        lam = model.modes[n].lam
-        a_ij = abs(mode_tensor(model, n)[i, j])
-        nu_peak = min(lam, nu_max)
-        score = a_ij * beta(nu_peak, lam).imag
-        if score > best_score:
-            best, best_score = n, score
-    if best is None:
+    lams, a = _core(model)
+    _, im, _ = _beta_parts(np.minimum(lams, nu_max), lams)
+    scores = np.abs(a[:, packed_index(i, j)]) * im
+    if not np.any(scores > 0.0):
         raise NoDominantModeError(
             f"all mode contributions to coefficient ({i},{j}) are zero"
         )
-    return best
+    return int(np.argmax(scores))
 
 
 def commutator_Z(
@@ -274,8 +286,10 @@ def commutator_Z(
     'RR' and 'II' commute the same tensor at two frequencies nu1, nu2.
     Diagonal entries vanish identically; single-mode models give zero.
     """
-    if nu1 <= 0.0:
+    if _finite(nu1, "nu1") <= 0.0:
         raise DomainError("nu1 must be positive")
+    if nu2 is not None:
+        _finite(nu2, "nu2")
     if kind == "RI":
         r, i, _ = assemble(model, nu1)
         a, b = r.matrix, i.matrix

@@ -14,11 +14,16 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidRotationError, SingularityError
 
-# row/column index of each packed coefficient, order 11, 22, 33, 12, 13, 23
+# row/column index of each packed coefficient, and its label in file headers
 _PACK_IJ = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+PACKED_LABELS = ("11", "22", "33", "12", "13", "23")
 
 ORTHOGONALITY_TOL = 1e-12
-JACOBI_OFFDIAG_TOL = 1e-14
+
+
+def packed_index(i: int, j: int) -> int:
+    """Position of coefficient (i, j), in either order, among the six packed."""
+    return _PACK_IJ.index((min(i, j), max(i, j)))
 
 
 class SymTensor3:
@@ -71,10 +76,7 @@ class SymTensor3:
         return m
 
     def __getitem__(self, ij) -> float:
-        i, j = ij
-        if i > j:
-            i, j = j, i
-        return float(self.coeffs[_PACK_IJ.index((i, j))])
+        return float(self.coeffs[packed_index(*ij)])
 
     def trace(self) -> float:
         return float(self.coeffs[:3].sum())
@@ -182,39 +184,15 @@ class Rotation3:
 
 
 def eigen_sym3(t: SymTensor3) -> tuple[np.ndarray, Rotation3]:
-    """Eigen-decompose a symmetric tensor by cyclic Jacobi sweeps.
+    """Eigen-decompose a symmetric tensor (LAPACK ``syevd`` via ``eigh``).
 
     Returns eigenvalues in ascending order and the orthogonal matrix whose
     columns are the matching eigenvectors, so ``T = Q diag(w) Q^T``.  For a
     repeated eigenvalue the eigenvectors are one orthonormal basis of the
     eigenspace; callers should compare subspace projectors, not vectors.
     """
-    a = t.matrix
-    norm = np.linalg.norm(a)
-    v = np.eye(3)
-    if norm > 0.0:
-        for _ in range(64):
-            off = max(abs(a[0, 1]), abs(a[0, 2]), abs(a[1, 2]))
-            if off <= JACOBI_OFFDIAG_TOL * norm:
-                break
-            for p, q in ((0, 1), (0, 2), (1, 2)):
-                apq = a[p, q]
-                if abs(apq) <= 0.25 * JACOBI_OFFDIAG_TOL * norm:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                tstep = np.sign(tau) if tau != 0.0 else 1.0
-                tstep /= abs(tau) + np.hypot(1.0, tau)
-                c = 1.0 / np.hypot(1.0, tstep)
-                s = tstep * c
-                rot = np.eye(3)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], Rotation3(v[:, order])
+    w, v = np.linalg.eigh(t.matrix)
+    return w, Rotation3(v)
 
 
 def rotate_tensor(t: SymTensor3, q: Rotation3) -> SymTensor3:

@@ -1,5 +1,7 @@
 """Spectral model assembly, derivatives, limits and commutators."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,7 +142,10 @@ class TestModeTensor:
 class TestAssemble:
     def test_zero_frequency(self):
         model = random_model(0)
-        r, i, m = assemble(model, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r, i, m = assemble(model, 0.0)
+            assert beta(0.0, 1.0) == 0.0
         assert r.norm() == 0.0 and i.norm() == 0.0
         np.testing.assert_array_equal(m.real.coeffs, model.n0.coeffs)
 
@@ -154,6 +159,22 @@ class TestAssemble:
     def test_negative_frequency_rejected(self):
         with pytest.raises(DomainError):
             assemble(random_model(1), -1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_nonfinite_frequency_rejected(self, bad):
+        model = random_model(1)
+        calls = (
+            lambda: beta(bad, 1.0),
+            lambda: beta_dlog(bad, 1.0),
+            lambda: assemble(model, bad),
+            lambda: assemble_dlog(model, bad),
+            lambda: dominant_mode(model, 0, 0, bad),
+            lambda: commutator_Z(model, bad),
+            lambda: commutator_Z(model, 1.0, bad, kind="RR"),
+        )
+        for call in calls:
+            with pytest.raises(DomainError, match="finite"):
+                call()
 
     def test_definiteness_over_grid(self):
         for seed in range(8):
@@ -234,7 +255,11 @@ class TestLimits:
             alpha=1.0, sigma_star=1.0, n0=SymTensor3.diag(1, 2, 3), modes=()
         )
         m0, minf = limit_tensors(model)
+        np.testing.assert_array_equal(m0.coeffs, model.n0.coeffs)
         np.testing.assert_array_equal(minf.coeffs, model.n0.coeffs)
+        r, i, _ = assemble(model, 2.5)
+        np.testing.assert_array_equal(r.coeffs, np.zeros(6))
+        np.testing.assert_array_equal(i.coeffs, np.zeros(6))
 
     def test_minf_minus_m0_negative_semidefinite(self):
         for seed in range(6):
@@ -423,8 +448,116 @@ class TestModeInvariants:
         with pytest.raises(InvalidInputError):
             Mode(-1.0, 1, np.ones((1, 3)))
 
+    def test_caller_array_mutation_does_not_reach_model(self):
+        c = np.array([[0.3, -1.2, 0.5], [0.7, 0.1, -0.4]])
+        model = single_mode_model(lam=1.5, couplings=c)
+        expect = assemble(single_mode_model(lam=1.5, couplings=c.copy()), 2.0)[0]
+        c[0, 0] = 50.0
+        np.testing.assert_array_equal(assemble(model, 2.0)[0].coeffs, expect.coeffs)
+        c[1, 2] = -9.0
+        np.testing.assert_array_equal(assemble(model, 2.0)[0].coeffs, expect.coeffs)
+
+    def test_couplings_read_only(self):
+        mode = Mode(1.0, 1, np.ones((1, 3)))
+        with pytest.raises(ValueError):
+            mode.couplings[0, 0] = 2.0
+
     def test_coupling_shape_checked(self):
         with pytest.raises(InvalidInputError):
             Mode(1.0, 2, np.ones((1, 3)))
         with pytest.raises(InvalidInputError):
             Mode(1.0, 1, np.array([[1.0, np.nan, 0.0]]))
+
+
+def _loop_beta_parts(nu, lam):
+    # the scalar branch form the array core replaced
+    if nu <= lam:
+        x = nu / lam
+        denom = 1.0 + x * x
+        return -(x * x) / denom, x / denom, (1.0 - x * x) / denom
+    x = lam / nu
+    denom = 1.0 + x * x
+    return -1.0 / denom, x / denom, (x * x - 1.0) / denom
+
+
+def _loop_weights(model, nu):
+    """Per-mode (Re beta, Im beta, dRe/dlog, d2Re/dlog2, dIm/dlog), shape (n, 5)."""
+    rows = []
+    for mode in model.modes:
+        re_b, im_b, ratio = _loop_beta_parts(nu, mode.lam)
+        rows.append((re_b, im_b, -2.0 * im_b * im_b, -4.0 * im_b * im_b * ratio, im_b * ratio))
+    return np.array(rows).reshape(-1, 5)
+
+
+def _loop_sums(model, nu):
+    """Reference: the per-mode loops over mode_tensor that assemble and
+    assemble_dlog used to be; rows R, I, dR/dlog, d2R/dlog2, dI/dlog."""
+    out = np.zeros((5, 6))
+    for n, w in enumerate(_loop_weights(model, nu)):
+        a = mode_tensor(model, n).coeffs
+        for k in range(5):
+            out[k] -= w[k] * a
+    return out
+
+
+def _term_scale(model, nu):
+    # max over coefficients of sum_n |w_n| |A_n|, per row: what bounds the
+    # rounding of each sum
+    a = np.array([mode_tensor(model, n).coeffs for n in range(len(model.modes))])
+    return (np.abs(_loop_weights(model, nu)).T @ np.abs(a.reshape(-1, 6))).max(axis=1)
+
+
+@st.composite
+def loop_cases(draw):
+    """Models of 0-60 modes, multiplicities 1-3, some dark, and a probe nu."""
+    n = draw(st.integers(0, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lams = np.cumsum(rng.uniform(0.05, 3.0, n)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    modes = []
+    for lam in lams:
+        mult = int(rng.integers(1, 4))
+        dark = bool(rng.random() < 0.2)
+        c = np.zeros((mult, 3)) if dark else rng.standard_normal((mult, 3))
+        modes.append(Mode(float(lam), mult, c, dark=dark))
+    model = SpectralModel(
+        alpha=float(10.0 ** rng.uniform(-3.0, 0.0)),
+        sigma_star=1.0,
+        n0=SymTensor3(rng.standard_normal(6)),
+        modes=tuple(modes),
+    )
+    kind = draw(st.sampled_from(["zero", "tiny", "lam", "huge"]))
+    if kind == "lam" and n:
+        nu = model.modes[draw(st.integers(0, n - 1))].lam
+    else:
+        nu = {"zero": 0.0, "tiny": 1e-300, "lam": 1.0, "huge": 1e300}[kind]
+    return model, nu
+
+
+class TestCoreMatchesModeLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(loop_cases())
+    def test_assemble_and_limits(self, case):
+        model, nu = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r, i, m = assemble(model, nu)
+        ref, scale = _loop_sums(model, nu), _term_scale(model, nu)
+        assert np.abs(r.coeffs - ref[0]).max() <= 1e-13 * scale[0]
+        assert np.abs(i.coeffs - ref[1]).max() <= 1e-13 * scale[1]
+        np.testing.assert_array_equal(m.real.coeffs, (model.n0 + r).coeffs)
+
+        m0, minf = limit_tensors(model)
+        residues = [mode_tensor(model, n) for n in range(len(model.modes))]
+        bound = 1e-13 * (sum(np.abs(t.coeffs).max() for t in residues) + model.n0.norm())
+        assert np.abs(minf.coeffs - sum(residues, model.n0).coeffs).max() <= bound
+        np.testing.assert_array_equal(m0.coeffs, model.n0.coeffs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(loop_cases())
+    def test_assemble_dlog(self, case):
+        model, nu = case
+        nu = nu or 1e-300  # the derivatives need nu > 0
+        got = np.array([t.coeffs for t in assemble_dlog(model, nu)])
+        ref, scale = _loop_sums(model, nu), _term_scale(model, nu)
+        for k in range(3):
+            assert np.abs(got[k] - ref[2 + k]).max() <= 1e-13 * scale[2 + k]

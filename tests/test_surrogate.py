@@ -125,6 +125,21 @@ class TestEnergyTensors:
         with pytest.raises(DomainError):
             energy_tensors_direct(generate(4, seed=0), 0.0)
 
+    def test_direct_route_never_reads_the_spectral_core(self, monkeypatch):
+        import mptspec.spectral
+
+        def refuse(model):
+            raise AssertionError("the direct LU route read the spectral core")
+
+        monkeypatch.setattr(mptspec.spectral, "_core", refuse)
+        p = generate(6, seed=2)
+        with pytest.raises(AssertionError):
+            assemble(eigen_model(p, SymTensor3.zero()), 1.0)
+        assert direct_theta1(p, 1.0).shape == (6, 3)
+        for form in (energy_tensors_direct, energy_tensors_alt):
+            r, i = form(p, 1.0)
+            assert r.norm() > 0.0 and i.norm() > 0.0
+
 
 class TestVerifyIdentities:
     def test_fresh_problem_passes(self):
