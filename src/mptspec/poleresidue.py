@@ -3,24 +3,31 @@
 On the physical axis the tensor is a rational function of w = i*nu with
 simple poles at the mode eigenvalues on the positive real w-axis; in the
 Laplace variable s = -i*omega the poles move to s_n = -lam_n / (mu0 sigma
-alpha^2) on the negative real axis.  Each mode may carry a Taylor-subtraction
-polynomial of degree ``nv`` that keeps the series absolutely convergent far
-from the physical axis; nv = 0 reproduces spectral assembly exactly on the
-imaginary w-axis.
+alpha^2) on the negative real axis.  The expansion is the Mittag-Leffler
+construction (Mittag-Leffler's theorem; e.g. Ahlfors, *Complex Analysis*,
+3rd ed., section 5.2.1) that arXiv:1906.00382 uses for the tensor:
+
+    M(w) = N0 + sum_n [w/(w - lam_n) + x_n + x_n^2 + ... + x_n^nv_n] A_n,
+
+with x_n = w / lam_n.  The Taylor-subtraction polynomial of degree nv_n
+keeps the series absolutely convergent far from the physical axis; nv = 0
+reproduces spectral assembly exactly on the imaginary w-axis.  Each bracket
+has the closed form x_n^(nv_n + 1) / (x_n - 1), one expression that shows
+the zero of order nv_n + 1 at w = 0 and that is evaluated for every pole
+and point at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, PoleProximityError
+from .errors import DomainError, InvalidInputError, PoleProximityError
 from .spectral import MU0, SpectralModel, mode_tensor
-from .tensors import ComplexSymTensor3, SymTensor3
+from .tensors import ComplexSymTensor3, SymTensor3, unpack
 
 POLE_PROXIMITY_REL = 1e-12
-BOUNDARY_CIRCLE_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -33,6 +40,8 @@ class PoleResidueExpansion:
     nv: np.ndarray
     alpha: float
     sigma_star: float
+    # the residues' coefficients, shape (n, 6), read-only
+    _packed: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         poles = np.asarray(self.poles_s, dtype=float)
@@ -48,12 +57,18 @@ class PoleResidueExpansion:
             raise InvalidInputError("Taylor-subtraction degrees must be >= 0")
         if not (self.alpha > 0.0 and self.sigma_star > 0.0):
             raise InvalidInputError("alpha and sigma_star must be positive")
-        for k, a in enumerate(self.residues):
-            top = np.linalg.eigvalsh(a.matrix).max()
-            if top > 1e-10 * max(a.norm(), 1e-300):
-                raise InvalidInputError(
-                    f"residue {k} is not negative semidefinite (top eig {top:g})"
-                )
+        packed = np.array([a.coeffs for a in self.residues]).reshape(poles.size, 6)
+        packed.setflags(write=False)
+        mats = unpack(packed)
+        top = np.linalg.eigvalsh(mats).max(axis=1, initial=-np.inf)
+        norm = np.linalg.norm(mats, axis=(1, 2))
+        bad = np.flatnonzero(top > 1e-10 * np.maximum(norm, 1e-300))
+        if bad.size:
+            k = bad[0]
+            raise InvalidInputError(
+                f"residue {k} is not negative semidefinite (top eig {top[k]:g})"
+            )
+        object.__setattr__(self, "_packed", packed)
 
     @property
     def scale_w_per_s(self) -> float:
@@ -104,15 +119,12 @@ def select_truncation(expansion: PoleResidueExpansion, n: int) -> int:
     """Smallest Taylor degree nv with 2^nv >= M_n 2^(n+1) for pole ``n``.
 
     M_n is the largest entry magnitude of the singular part on the circle
-    |w| = lam_n / 2, sampled on a boundary grid (maximum-modulus principle
-    makes interior points redundant).  ``n`` is the 0-based pole index; the
-    convergence requirement counts poles from one.
+    |w| = lam_n / 2.  There |w - lam_n| >= lam_n / 2, so the maximum of
+    |w / (w - lam_n)| is exactly 1, reached at w = lam_n / 2, and M_n is the
+    largest coefficient magnitude of the residue.  ``n`` is the 0-based pole
+    index; the convergence requirement counts poles from one.
     """
-    lam = expansion.poles_w[n]
-    a_max = np.abs(expansion.residues[n].coeffs).max()
-    theta = np.linspace(0.0, 2.0 * np.pi, BOUNDARY_CIRCLE_POINTS, endpoint=False)
-    w = 0.5 * lam * np.exp(1j * theta)
-    m_n = a_max * np.abs(w / (w - lam)).max()
+    m_n = np.abs(expansion._packed[n]).max()
     if m_n == 0.0:
         return 0
     nv = int(np.ceil(np.log2(m_n) + (n + 1)))
@@ -122,32 +134,28 @@ def select_truncation(expansion: PoleResidueExpansion, n: int) -> int:
     return max(nv, 0)
 
 
-def _term_coeff(w: complex, lam: float, nv: int) -> complex:
-    # w/(w-lam) plus the subtracted Taylor polynomial; p(w) = -(x + ... + x^nv) A
-    # leaves a zero of order nv+1 at w = 0
-    coeff = w / (w - lam)
-    if nv > 0:
-        x = w / lam
-        coeff += (x ** np.arange(1, nv + 1)).sum()
-    return coeff
+def _terms(poles_w: np.ndarray, nv, w: np.ndarray) -> np.ndarray:
+    """Bracket coefficients, shape (points, poles), at the points ``w``.
 
-
-def _eval_w(expansion: PoleResidueExpansion, w: complex) -> np.ndarray:
-    poles_w = expansion.poles_w
-    too_close = np.abs(w - poles_w) <= POLE_PROXIMITY_REL * np.abs(poles_w)
+    w/(w - lam) + x + ... + x^nv = x^(nv+1) / (x - 1) with x = w / lam; the
+    denominator is formed as (w - lam) / lam, which keeps full relative
+    accuracy near the pole.  Refuses points within a relative distance 1e-12
+    of any pole.
+    """
+    gap = w[:, None] - poles_w
+    too_close = np.abs(gap) <= POLE_PROXIMITY_REL * poles_w
     if np.any(too_close):
-        k = int(np.nonzero(too_close)[0][0])
+        k = int(np.argwhere(too_close)[0, 1])
         raise PoleProximityError(
             f"evaluation point within {POLE_PROXIMITY_REL:g} of pole {k} "
             f"(w = {poles_w[k]:g})"
         )
-    total = expansion.n0.matrix.astype(complex)
-    for k in range(expansion.n_poles()):
-        total = total + (
-            _term_coeff(w, poles_w[k], int(expansion.nv[k]))
-            * expansion.residues[k].matrix
-        )
-    return total
+    return (w[:, None] / poles_w) ** (nv + 1) * (poles_w / gap)
+
+
+def _complex_tensor(coeffs: np.ndarray) -> ComplexSymTensor3:
+    # packed coefficients are symmetric by construction
+    return ComplexSymTensor3(SymTensor3(coeffs.real), SymTensor3(coeffs.imag))
 
 
 def evaluate(
@@ -161,25 +169,25 @@ def evaluate(
     Refuses points within a relative distance 1e-12 of any pole, where
     floating-point cancellation dominates.  With ``return_partial_sums`` the
     running entrywise partial sums (after each pole term) are returned as a
-    second value for convergence monitoring.
+    second value for convergence monitoring; the full value is then the last
+    of them.
     """
+    point = complex(point)
+    if not np.isfinite(point):
+        raise DomainError(f"evaluation point must be finite, got {point}")
     if variable == "w":
-        w = complex(point)
+        w = point
     elif variable == "s":
-        w = -complex(point) * expansion.scale_w_per_s
+        w = -point * expansion.scale_w_per_s
     else:
         raise InvalidInputError(f"unknown variable {variable!r}")
-    full = ComplexSymTensor3.from_matrix(_eval_w(expansion, w), asym_tol=1e-9)
+    coeff = _terms(expansion.poles_w, expansion.nv, np.array([w]))[0]
+    n0 = expansion.n0.coeffs
     if not return_partial_sums:
-        return full
-    partials = []
-    total = expansion.n0.matrix.astype(complex)
-    for k in range(expansion.n_poles()):
-        total = total + (
-            _term_coeff(w, expansion.poles_w[k], int(expansion.nv[k]))
-            * expansion.residues[k].matrix
-        )
-        partials.append(ComplexSymTensor3.from_matrix(total, asym_tol=1e-9))
+        return _complex_tensor(n0 + coeff @ expansion._packed)
+    sums = n0 + np.cumsum(coeff[:, None] * expansion._packed, axis=0)
+    partials = [_complex_tensor(row) for row in sums]
+    full = partials[-1] if partials else _complex_tensor(n0.astype(complex))
     return full, partials
 
 
@@ -200,12 +208,18 @@ def contour_residue(
 
     Cross-checks :func:`residue_at_pole`; the trapezoid average of
     f(s) (s - s_n) over the circle converges spectrally for a simple pole.
+    Only the singular parts w/(w - lam_k) are integrated: N0 and the Taylor
+    polynomials are entire and have no residue, but near a high pole their
+    average would cancel only down to rounding of their (large) size.
     """
+    if not 0 <= n < expansion.n_poles():
+        raise InvalidInputError(f"pole index {n} out of range")
+    if points < 1:
+        raise InvalidInputError(f"contour needs at least one point, got {points}")
+    if not 0.0 < rel_radius < 1.0:
+        raise InvalidInputError(f"rel_radius must lie in (0, 1), got {rel_radius}")
     s_n = expansion.poles_s[n]
-    radius = rel_radius * abs(s_n)
     theta = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
-    offsets = radius * np.exp(1j * theta)
-    acc = np.zeros((3, 3), dtype=complex)
-    for ds in offsets:
-        acc += _eval_w(expansion, -(s_n + ds) * expansion.scale_w_per_s) * ds
-    return acc / points
+    offsets = rel_radius * abs(s_n) * np.exp(1j * theta)
+    coeff = _terms(expansion.poles_w, 0, -(s_n + offsets) * expansion.scale_w_per_s)
+    return unpack(offsets @ coeff @ expansion._packed / points)

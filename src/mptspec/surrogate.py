@@ -112,6 +112,8 @@ def direct_theta1(problem: SurrogateProblem, nu: float) -> np.ndarray:
     Complex LU with partial pivoting; returns a dim x 3 complex array.  The
     response vanishes identically at nu = 0.
     """
+    if not np.isfinite(nu):
+        raise DomainError(f"nu must be finite, got {nu}")
     if nu < 0.0:
         raise DomainError("nu must be nonnegative")
     if nu == 0.0:

@@ -26,6 +26,15 @@ def packed_index(i: int, j: int) -> int:
     return _PACK_IJ.index((min(i, j), max(i, j)))
 
 
+# packed position of each (row, column) entry of the dense matrix
+_UNPACK = np.array([[packed_index(i, j) for j in range(3)] for i in range(3)])
+
+
+def unpack(coeffs) -> np.ndarray:
+    """Dense symmetric matrices, shape (..., 3, 3), from packed (..., 6)."""
+    return np.asarray(coeffs)[..., _UNPACK]
+
+
 class SymTensor3:
     """Real symmetric 3x3 tensor backed by six packed coefficients."""
 
@@ -69,11 +78,7 @@ class SymTensor3:
 
     @property
     def matrix(self) -> np.ndarray:
-        m = np.empty((3, 3))
-        for k, (i, j) in enumerate(_PACK_IJ):
-            m[i, j] = self.coeffs[k]
-            m[j, i] = self.coeffs[k]
-        return m
+        return unpack(self.coeffs)
 
     def __getitem__(self, ij) -> float:
         return float(self.coeffs[packed_index(*ij)])

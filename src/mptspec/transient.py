@@ -133,7 +133,14 @@ class Waveform:
         return float(np.interp(t, self.times, self.values))
 
     def segments_until(self, t: float):
-        """Linear pieces (t0, t1, a, b) with u(tau) = a + b*tau covering (first, t]."""
+        """Linear pieces (t0, t1, a, b) with u(tau) = a + b*tau covering (first, t].
+
+        The intercept a = u(t0) - b*t0 is referred to tau = 0, so it loses
+        digits when the samples lie far from t = 0 compared with their
+        spacing: for samples at 1 s + k us with values of order 1, a + b*t1
+        misses the next sample by about 1e-11.  Where that matters, rebuild
+        each piece about its own start as u(t0) + b*(tau - t0).
+        """
         pieces = []
         times, values = self.times, self.values
         for k in range(times.size - 1):

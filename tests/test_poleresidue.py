@@ -1,23 +1,31 @@
 """Pole-residue expansion: construction, evaluation, residues, truncation."""
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mptspec import (
     MU0,
+    DomainError,
     InvalidInputError,
     Mode,
     PoleProximityError,
     SpectralModel,
+    SphereSpec,
     SymTensor3,
     assemble,
     evaluate,
     from_model,
     residue_at_pole,
     select_truncation,
+    sphere_spectral_model,
 )
-from mptspec.poleresidue import PoleResidueExpansion, contour_residue
+from mptspec.poleresidue import PoleResidueExpansion, _terms, contour_residue
 from conftest import random_model
+
+FIG1 = SphereSpec(alpha=0.01, mu_r=1.5, sigma_star=5.96e6)
 
 
 def expansion_with_residues(lams, residue_tensors, alpha=1.0, sigma=1.0, nv=None):
@@ -245,3 +253,166 @@ class TestVariableConsistency:
             via_s = evaluate(expansion, s, variable="s")
             via_w = evaluate(expansion, -s * scale, variable="w")
             np.testing.assert_allclose(via_s.matrix, via_w.matrix, rtol=1e-14)
+
+
+def sampled_truncation(expansion, n, points=256):
+    """Reference: M_n by sampling |w/(w - lam)| on the circle |w| = lam/2."""
+    lam = expansion.poles_w[n]
+    a_max = np.abs(expansion.residues[n].coeffs).max()
+    theta = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
+    w = 0.5 * lam * np.exp(1j * theta)
+    m_n = a_max * np.abs(w / (w - lam)).max()
+    if m_n == 0.0:
+        return 0
+    nv = int(np.ceil(np.log2(m_n) + (n + 1)))
+    while 2.0**nv < m_n * 2.0 ** (n + 1):
+        nv += 1
+    return max(nv, 0)
+
+
+def per_pole_loop(expansion, w):
+    """Reference: the pole sum term by term, Taylor polynomials as power sums.
+
+    Returns the value and the summed magnitudes of everything it added, the
+    scale of its own rounding.
+    """
+    total = expansion.n0.matrix.astype(complex)
+    scale = np.abs(total).max()
+    for lam, nv, a in zip(expansion.poles_w, expansion.nv, expansion.residues):
+        powers = (w / lam) ** np.arange(1, nv + 1)
+        total = total + (w / (w - lam) + powers.sum()) * a.matrix
+        scale += (abs(w / (w - lam)) + np.abs(powers).sum()) * np.abs(a.coeffs).max()
+    return total, scale
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize(
+        "model",
+        [sphere_spectral_model(FIG1, 30), sphere_spectral_model(FIG1, 85)]
+        + [random_model(seed) for seed in range(10)],
+    )
+    def test_truncation_matches_circle_sampling(self, model):
+        expansion = from_model(model)
+        for n in range(expansion.n_poles()):
+            assert select_truncation(expansion, n) == sampled_truncation(expansion, n)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_poles=st.integers(0, 60),
+        nv_max=st.integers(0, 30),
+    )
+    def test_evaluate_matches_per_pole_loop(self, seed, n_poles, nv_max):
+        rng = np.random.default_rng(seed)
+        lams = np.cumsum(rng.uniform(0.5, 4.0, n_poles)) * 10.0 ** rng.uniform(-2, 2)
+        residues = []
+        for _ in range(n_poles):
+            b = rng.standard_normal((3, 3))
+            residues.append(
+                SymTensor3.from_matrix(-(b.T @ b) * 10.0 ** rng.uniform(-2, 2), 1e-9)
+            )
+        nv = rng.integers(0, nv_max + 1, n_poles)
+        expansion = expansion_with_residues(lams, residues, nv=nv)
+        lo, hi = (1.0, 1.0) if n_poles == 0 else (lams[0], lams[-1])
+        radius = lo * 10.0 ** rng.uniform(-3.0, np.log10(2.0 * hi / lo), 6)
+        points = radius * np.exp(1j * rng.uniform(0.05, np.pi - 0.05, 6))
+        points[1::2] = points[1::2].conj()
+        for w in points:
+            want, scale = per_pole_loop(expansion, w)
+            got = evaluate(expansion, w, "w").matrix
+            assert np.abs(got - want).max() <= 1e-12 * scale
+
+    def test_term_matches_mpmath(self):
+        rng = np.random.default_rng(3)
+        worst = 0.0
+        with mpmath.workdps(60):
+            for _ in range(3000):
+                nv = int(rng.integers(0, 121))
+                lam = float(10.0 ** rng.uniform(-2, 2))
+                x = 10.0 ** rng.uniform(-3.0, np.log10(3.0)) * np.exp(
+                    1j * rng.uniform(0.0, 2.0 * np.pi)
+                )
+                w = x * lam
+                got = _terms(np.array([lam]), np.array([nv]), np.array([w]))[0, 0]
+                x_mp = mpmath.mpc(w.real, w.imag) / mpmath.mpf(lam)
+                ref = x_mp ** (nv + 1) / (x_mp - 1)
+                if abs(ref) < mpmath.mpf("1e-290"):
+                    continue
+                err = abs(mpmath.mpc(got.real, got.imag) - ref) / abs(ref)
+                worst = max(worst, float(err))
+        assert worst <= 1e-12
+
+
+class TestPartialSums:
+    def test_full_value_is_last_partial_sum(self):
+        model = random_model(4, n_modes=12)
+        for truncation in ("zero", "auto"):
+            expansion = from_model(model, truncation)
+            for w in (0.3 + 2.0j, -40.0 - 1.0j, 1e3j):
+                full, partials = evaluate(expansion, w, "w", return_partial_sums=True)
+                assert len(partials) == expansion.n_poles()
+                last = partials[-1]
+                np.testing.assert_array_equal(full.real.coeffs, last.real.coeffs)
+                np.testing.assert_array_equal(full.imag.coeffs, last.imag.coeffs)
+
+    def test_zero_poles(self):
+        model = SpectralModel(
+            alpha=1.0, sigma_star=1.0, n0=SymTensor3.diag(4.0, 5.0, 6.0), modes=()
+        )
+        full, partials = evaluate(
+            from_model(model), 0.7 + 0.3j, "w", return_partial_sums=True
+        )
+        assert partials == []
+        np.testing.assert_array_equal(full.real.coeffs, model.n0.coeffs)
+        assert full.imag.norm() == 0.0
+
+
+class TestInputChecks:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, value):
+        expansion = from_model(random_model(1))
+        for point in (value, complex(1.0, value)):
+            for variable in ("w", "s"):
+                with pytest.raises(DomainError):
+                    evaluate(expansion, point, variable)
+
+    def test_proximity_names_first_pole(self):
+        tensors = [SymTensor3.isotropic(-1.0), SymTensor3.isotropic(-0.5)]
+        expansion = expansion_with_residues([1.0, 4.0], tensors)
+        with pytest.raises(PoleProximityError, match="pole 1 "):
+            evaluate(expansion, expansion.poles_w[1], "w")
+
+    def test_residue_must_be_negative_semidefinite(self):
+        tensors = [SymTensor3.isotropic(-1.0), SymTensor3.diag(-1.0, 0.5, -1.0)]
+        with pytest.raises(InvalidInputError, match="residue 1 is not negative"):
+            expansion_with_residues([1.0, 4.0], tensors)
+
+    def test_packed_residues_read_only(self):
+        expansion = from_model(random_model(2))
+        with pytest.raises(ValueError):
+            expansion._packed[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n": -1}, {"n": 3}, {"n": 99}, {"points": 0}, {"points": -2},
+            {"rel_radius": 0.0}, {"rel_radius": 1.0}, {"rel_radius": -1e-6},
+            {"rel_radius": np.nan}, {"rel_radius": np.inf},
+        ],
+    )
+    def test_contour_arguments_checked(self, kwargs):
+        expansion = from_model(random_model(7, n_modes=3))
+        with pytest.raises(InvalidInputError):
+            contour_residue(expansion, **{"n": 0, **kwargs})
+
+
+class TestContourOnAutoExpansions:
+    @pytest.mark.parametrize("n_modes", [30, 85])
+    def test_every_pole_matches_exact_residue(self, n_modes):
+        expansion = from_model(sphere_spectral_model(FIG1, n_modes), "auto")
+        assert expansion.nv.max() > 0
+        for n in range(expansion.n_poles()):
+            numeric = contour_residue(expansion, n)
+            exact = residue_at_pole(expansion, n).matrix
+            assert np.abs(numeric - exact).max() <= 1e-8 * np.abs(exact).max()

@@ -83,6 +83,16 @@ class TestDirectTheta1:
             )
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("nu", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "solve", [direct_theta1, energy_tensors_direct, energy_tensors_alt]
+    )
+    def test_non_finite_nu_rejected(self, solve, nu):
+        with pytest.raises(DomainError):
+            solve(generate(4, seed=0), nu)
+
+
 class TestEnergyTensors:
     def test_single_mode_balance_point(self):
         lam = 2.0

@@ -190,10 +190,11 @@ class TestConvolution:
             np.testing.assert_array_equal(out.coeffs, wave(t) * model.n0.coeffs)
 
 
-def _segment_integral(s_n, t: float, t0: float, t1: float, a: float, b: float):
-    # int_{t0}^{t1} s e^{s (t - tau)} (a + b tau) dtau, all exponents <= 0
+def _segment_integral(s_n, t: float, t0: float, t1: float, u0: float, b: float):
+    # int_{t0}^{t1} s e^{s (t - tau)} (u0 + b (tau - t0)) dtau, all exponents
+    # <= 0; the local origin t0 keeps the digits an intercept at 0 would lose
     def antiderivative(tau):
-        return (-(a + b * tau) - b / s_n) * np.exp(s_n * (t - tau))
+        return (-(u0 + b * (tau - t0)) - b / s_n) * np.exp(s_n * (t - tau))
 
     return antiderivative(t1) - antiderivative(t0)
 
@@ -207,8 +208,8 @@ def per_segment_convolution(model, excitation, query_times) -> np.ndarray:
     out = []
     for t in query_times:
         weight = np.zeros(rates.size)
-        for t0, t1, a, b in excitation.segments_until(t):
-            weight += _segment_integral(rates, t, t0, t1, a, b)
+        for t0, t1, _, b in excitation.segments_until(t):
+            weight += _segment_integral(rates, t, t0, t1, excitation(t0), b)
         out.append(excitation(t) * kernel.delta_part.coeffs + weight @ residues)
     return np.array(out)
 
@@ -251,6 +252,22 @@ class TestRecursiveConvolution:
                 ]
             )
         )
+        got = np.array([o.coeffs for o in convolve_excitation(model, wave, queries)])
+        want = per_segment_convolution(model, wave, queries)
+        np.testing.assert_allclose(
+            got, want, rtol=0, atol=1e-11 * output_scale(model, wave)
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_record_far_from_time_origin(self, seed):
+        # samples 100 s after t = 0, about 1e5 slowest time constants, where
+        # an intercept referred to t = 0 would lose about 1e-10 of the output
+        model = random_model(seed, 20)
+        rng = np.random.default_rng(seed)
+        slowest = model.time_constant / model.modes[0].lam
+        gaps = rng.uniform(0.2, 1.0, 30)
+        wave = Waveform(100.0 + np.cumsum(gaps) * slowest, rng.standard_normal(30))
+        queries = np.sort(rng.uniform(wave.times[0], wave.times[-1] + slowest, 20))
         got = np.array([o.coeffs for o in convolve_excitation(model, wave, queries)])
         want = per_segment_convolution(model, wave, queries)
         np.testing.assert_allclose(
