@@ -51,12 +51,14 @@ class PoleResidueExpansion:
         object.__setattr__(self, "residues", tuple(self.residues))
         if poles.ndim != 1 or len(self.residues) != poles.size or nv.size != poles.size:
             raise InvalidInputError("poles, residues and nv must have equal length")
+        if not np.all(np.isfinite(poles)):
+            raise InvalidInputError("poles must be finite")
         if np.any(poles >= 0.0) or np.any(np.diff(poles) >= 0.0):
             raise InvalidInputError("poles must be negative and strictly decreasing")
         if np.any(nv < 0):
             raise InvalidInputError("Taylor-subtraction degrees must be >= 0")
-        if not (self.alpha > 0.0 and self.sigma_star > 0.0):
-            raise InvalidInputError("alpha and sigma_star must be positive")
+        if not all(np.isfinite(x) and x > 0.0 for x in (self.alpha, self.sigma_star)):
+            raise InvalidInputError("alpha and sigma_star must be positive and finite")
         packed = np.array([a.coeffs for a in self.residues]).reshape(poles.size, 6)
         packed.setflags(write=False)
         mats = unpack(packed)
@@ -124,6 +126,8 @@ def select_truncation(expansion: PoleResidueExpansion, n: int) -> int:
     largest coefficient magnitude of the residue.  ``n`` is the 0-based pole
     index; the convergence requirement counts poles from one.
     """
+    if not 0 <= n < expansion.n_poles():
+        raise InvalidInputError(f"pole index {n} out of range")
     m_n = np.abs(expansion._packed[n]).max()
     if m_n == 0.0:
         return 0

@@ -176,10 +176,11 @@ def _isotropic_mode(lam: float, a_n: float, alpha: float) -> Mode:
 def _fit_tail(
     spec: SphereSpec,
     lams: np.ndarray,
+    lam_next: float,
     residues: np.ndarray,
     n0: float,
     nu_band: tuple[float, float],
-    n_tail: int,
+    counts: tuple[int, ...],
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Effective modes for the truncated spectral tail.
 
@@ -187,14 +188,14 @@ def _fit_tail(
     error at the top of a wide band.  A handful of constrained (non-positive)
     residues on eigenvalues above lam_N absorbs it; the constraint row pins
     the infinite-frequency limit at the exact perfect-conductor value.
+    ``lam_next`` is the first missing eigenvalue, lam_{N+1}.  Each tail size
+    in ``counts`` is tried in turn against one analytic target, stopping at
+    the first whose in-band error is at most 5e-4; the one with the smallest
+    error is returned.
     """
     nu_lo, nu_hi = nu_band
     lam_max = lams[-1]
     deficit = (spec.pec_value() - n0) - residues.sum()
-    # the first missing eigenvalue anchors the tail basis; starting any higher
-    # leaves its leakage into the band unservable
-    lam_next = sphere_poles(spec, lams.size + 1)[-1]
-    lam_tail = np.geomspace(lam_next, 4.0 * max(nu_hi, 4.0 * lam_max), n_tail)
 
     n_band = 200
     nu_grid = np.geomspace(max(nu_lo, 1e-6 * lams[0]), nu_hi, n_band)
@@ -206,35 +207,43 @@ def _fit_tail(
     partial = n0 + (w[:, None] / (w[:, None] - lams[None, :])) @ residues
     resid = target - partial
     weight = 1.0 / np.abs(target)
-
-    basis = w[:, None] / (w[:, None] - lam_tail[None, :])
-    rows = np.vstack(
-        [
-            basis.real * weight[:, None],
-            basis.imag * weight[:, None],
-        ]
-    )
     rhs = np.concatenate([resid.real * weight, resid.imag * weight])
-    # residues are non-positive: solve for x = -b >= 0, and pin sum(b) to the
-    # exact high-frequency deficit with a heavy anchor row
-    anchor = 100.0
-    rows = np.vstack([rows, anchor * np.ones((1, lam_tail.size))])
-    rhs = np.concatenate([-rhs, [anchor * (-deficit)]])
-    x, _ = nnls(rows, rhs)
-    b = -x
-    # close the infinite-frequency limit exactly by folding the leftover into
-    # the largest-eigenvalue tail mode (a sub-permille shift)
-    leftover = deficit - b.sum()
-    order = np.argsort(lam_tail)[::-1]
-    for k in order:
-        if b[k] + leftover <= 0.0:
-            b[k] += leftover
-            leftover = 0.0
+
+    best = None
+    for n_tail in counts:
+        # the first missing eigenvalue anchors the tail basis; starting any
+        # higher leaves its leakage into the band unservable
+        lam_tail = np.geomspace(lam_next, 4.0 * max(nu_hi, 4.0 * lam_max), n_tail)
+        basis = w[:, None] / (w[:, None] - lam_tail[None, :])
+        rows = np.vstack(
+            [
+                basis.real * weight[:, None],
+                basis.imag * weight[:, None],
+            ]
+        )
+        # residues are non-positive: solve for x = -b >= 0, and pin sum(b) to
+        # the exact high-frequency deficit with a heavy anchor row
+        anchor = 100.0
+        rows = np.vstack([rows, anchor * np.ones((1, lam_tail.size))])
+        x, _ = nnls(rows, np.concatenate([-rhs, [anchor * (-deficit)]]))
+        b = -x
+        # close the infinite-frequency limit exactly by folding the leftover
+        # into the largest-eigenvalue tail mode (a sub-permille shift)
+        leftover = deficit - b.sum()
+        order = np.argsort(lam_tail)[::-1]
+        for k in order:
+            if b[k] + leftover <= 0.0:
+                b[k] += leftover
+                leftover = 0.0
+                break
+        keep = b < 0.0
+        fitted = partial + basis @ b
+        max_rel_err = float(np.abs((fitted - target) * weight)[:n_band].max())
+        if best is None or max_rel_err < best[2]:
+            best = (lam_tail[keep], b[keep], max_rel_err)
+        if max_rel_err <= 5e-4:
             break
-    keep = b < 0.0
-    fitted = partial + basis @ b
-    max_rel_err = float(np.abs((fitted - target) * weight)[:n_band].max())
-    return lam_tail[keep], b[keep], max_rel_err
+    return best
 
 
 def sphere_spectral_model(
@@ -263,7 +272,11 @@ def sphere_spectral_model(
     """
     if n_modes < 1:
         raise InvalidInputError("n_modes must be >= 1")
-    lams = sphere_poles(spec, n_modes)
+    counts = (8, 16, 24) if tail_modes is None else ((tail_modes,) if tail_modes else ())
+    # one root scan also yields lam_{N+1}, which anchors the tail basis; the
+    # scan finds roots in order, so its first N equal sphere_poles(spec, N)
+    scanned = sphere_poles(spec, n_modes + 1 if counts else n_modes)
+    lams = scanned[:n_modes]
     res_w = _contour_residues(spec, lams)
     residues = res_w / lams  # A_n = Res_w(m, lam_n) / lam_n
     if np.any(residues >= 0.0):
@@ -273,16 +286,10 @@ def sphere_spectral_model(
     tau = spec.time_constant
     nu_band = (2.0 * np.pi * f_band[0] * tau, 2.0 * np.pi * f_band[1] * tau)
     all_lams, all_residues = lams, residues
-    counts = (8, 16, 24) if tail_modes is None else ((tail_modes,) if tail_modes else ())
-    best = None
-    for n_tail in counts:
-        lam_tail, res_tail, err = _fit_tail(spec, lams, residues, n0, nu_band, n_tail)
-        if best is None or err < best[2]:
-            best = (lam_tail, res_tail, err)
-        if err <= 5e-4:
-            break
-    if best is not None:
-        lam_tail, res_tail, _ = best
+    if counts:
+        lam_tail, res_tail, _ = _fit_tail(
+            spec, lams, scanned[-1], residues, n0, nu_band, counts
+        )
         all_lams = np.concatenate([lams, lam_tail])
         all_residues = np.concatenate([residues, res_tail])
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mptspec import (
     Mode,
@@ -13,6 +15,7 @@ from mptspec import (
     fit_dominant,
     fit_report,
 )
+from mptspec import fitting
 from mptspec.fitting import default_fit_grid, sweep_coefficients
 from mptspec.sphere import SphereSpec, sphere_spectral_model
 
@@ -23,6 +26,55 @@ def f_i(nu, c, d):
 
 def f_r(nu, a, b):
     return -a * b * nu**2 / (nu**2 + b**2)
+
+
+def decade_starts(nu, values):
+    """Decades spanning the positive nu range, plus the location of max |value|."""
+    positive = nu[nu > 0.0]
+    decades = np.arange(
+        np.floor(np.log10(positive.min())), np.ceil(np.log10(positive.max())) + 1
+    )
+    starts = list(10.0**decades)
+    peak_nu = float(nu[np.argmax(np.abs(values))])
+    if peak_nu > 0.0:
+        starts.append(peak_nu)
+    return starts
+
+
+def full_multistart_sse(kind, nu, values):
+    """Reference: Gauss-Newton to the end from every start; the lowest SSE."""
+    best = None
+    for rate0 in decade_starts(nu, values):
+        amp0 = fitting._best_amp(kind, nu, values, rate0)
+        _, sse, _, _ = fitting._gauss_newton(kind, nu, values, amp0, rate0)
+        if best is None or sse < best:
+            best = sse
+    return best
+
+
+def record_starts(monkeypatch):
+    """Patch the Gauss-Newton refinement to record the start rate of each run."""
+    rates = []
+    refine = fitting._gauss_newton
+
+    def recorded(kind, nu, values, amp0, rate0):
+        rates.append(rate0)
+        return refine(kind, nu, values, amp0, rate0)
+
+    monkeypatch.setattr(fitting, "_gauss_newton", recorded)
+    return rates
+
+
+def count_fits(monkeypatch):
+    calls = []
+    fit = fitting.fit_dominant
+
+    def counted(data, kind):
+        calls.append(kind)
+        return fit(data, kind)
+
+    monkeypatch.setattr(fitting, "fit_dominant", counted)
+    return calls
 
 
 class TestFitDominant:
@@ -100,6 +152,96 @@ class TestFitDominant:
             _, sse, _, _ = _gauss_newton("I", nu, vals, amp0, rate0)
             assert fit.rms**2 * nu.size <= sse * (1.0 + 1e-12)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["R", "I"]),
+        log_grid=st.booleans(),
+        points=st.integers(8, 200),
+        log_nu_max=st.floats(-1.0, 4.0),
+        modes=st.lists(
+            st.tuples(
+                st.floats(-3.0, 3.0), st.booleans(), st.floats(-3.0, 1.0)
+            ),
+            min_size=1,
+            max_size=2,
+        ),
+        noise=st.one_of(st.just(0.0), st.floats(1e-3, 0.3)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_screening_matches_full_multistart(
+        self, kind, log_grid, points, log_nu_max, modes, noise, seed
+    ):
+        # two modes at one rate could cancel exactly
+        assume(len(modes) == 1 or abs(modes[0][2] - modes[1][2]) >= 0.01)
+        nu_max = 10.0**log_nu_max
+        if log_grid:
+            nu = default_fit_grid(nu_max, points)
+        else:
+            nu = np.linspace(0.0, nu_max, points)
+        shape = f_r if kind == "R" else f_i
+        vals = np.zeros(nu.size)
+        for log_amp, negative, log_rate in modes:
+            amp = -(10.0**log_amp) if negative else 10.0**log_amp
+            vals += shape(nu, amp, nu_max * 10.0**log_rate)
+        rng = np.random.default_rng(seed)
+        vals += noise * np.abs(vals).max() * rng.standard_normal(nu.size)
+        fit = fit_dominant(SweepData(nu, vals), kind)
+        sse = fit.rms**2 * nu.size
+        reference = full_multistart_sse(kind, nu, vals)
+        # runs that reach one minimum stop within the step tolerance of it,
+        # which moves the SSE by up to about 5e-13 of |v|^2; a different
+        # local minimum differs by far more
+        assert sse <= reference * (1.0 + 1e-12) + 1e-12 * float(vals @ vals)
+
+    def test_screening_finds_narrow_low_basin(self):
+        # two I modes of opposite sign: the residual has a local minimum near
+        # each rate.  The lower one, near 0.03, lies between decade starts;
+        # the two starts of lowest projected residual (26 and 100) both lead
+        # to the other minimum (SSE 128.3), so refining them alone misses it
+        nu = default_fit_grid(26.0, points=54)
+        vals = f_i(nu, 10.7, 28.0) + f_i(nu, -8.26, 0.029)
+        fit = fit_dominant(SweepData(nu, vals), "I")
+        assert fit.rms**2 * nu.size <= full_multistart_sse("I", nu, vals) * (
+            1.0 + 1e-12
+        )
+        assert fit.rate == pytest.approx(0.0278, rel=1e-2)
+
+    def test_screening_resolves_hump_between_decades(self):
+        # near-cancelling R modes: the residual rises from 0.1 to a hump near
+        # 0.4 and falls again toward large rates.  Sampled at the decades
+        # alone, 1.0 looks like the rising side of the minimum near 0.05
+        nu = default_fit_grid(1.0, points=161)
+        vals = f_r(nu, -(10.0**-1.0625), 1.0)
+        vals += f_r(nu, 10.0**-1.08203125, 10.0**-0.28125)
+        fit = fit_dominant(SweepData(nu, vals), "R")
+        assert fit.rms**2 * nu.size <= full_multistart_sse("R", nu, vals) * (
+            1.0 + 1e-12
+        )
+        assert fit.rate > 1.0
+
+    def test_refines_at_most_two_starts_when_converged(self, monkeypatch):
+        rates = record_starts(monkeypatch)
+        nu = default_fit_grid(100.0, points=80)
+        vals = f_i(nu, 2.0, 12.0) + 0.01 * f_i(nu, 1.0, 70.0)
+        fit = fit_dominant(SweepData(nu, vals), "I")
+        assert fit.converged and fit.stop == "step_tol"
+        assert 1 <= len(rates) <= 2
+        assert fit.start_rate in rates
+
+    def test_fallback_refines_every_start(self, monkeypatch):
+        # two iterations cannot converge, so the screened runs both stop at
+        # the cap and the fit falls back to every decade start
+        monkeypatch.setattr(fitting, "_MAX_ITER", 2)
+        rates = record_starts(monkeypatch)
+        nu = default_fit_grid(100.0, points=80)
+        vals = f_i(nu, 2.0, 12.0) + 0.01 * f_i(nu, 1.0, 70.0)
+        fit = fit_dominant(SweepData(nu, vals), "I")
+        assert not fit.converged and fit.stop == "max_iter"
+        assert fit.iterations == 2
+        assert set(decade_starts(nu, vals)) <= set(rates)
+        assert len(rates) == len(set(rates))
+        assert fit.start_rate in rates
+
     def test_degenerate_data(self):
         nu = default_fit_grid(10.0, points=50)
         with pytest.raises(NoFitError):
@@ -113,6 +255,18 @@ class TestFitDominant:
         fit_i = fit_dominant(SweepData(nu, f_i(nu, 1.0, 5.0) + 1e-3), "I")
         assert np.all(fit_r.residual_curve <= 0.0)
         assert np.all(fit_i.residual_curve >= 0.0)
+        with pytest.raises(ValueError):
+            fit_i.residual_curve[0] = 1.0
+
+
+def _two_axis_model():
+    modes = (
+        Mode(3.0, 1, np.array([[1.0, 0.0, 0.0]])),
+        Mode(30.0, 1, np.array([[0.0, 1.0, 0.0]])),
+    )
+    return SpectralModel(
+        alpha=0.01, sigma_star=5.96e6, n0=SymTensor3.zero(), modes=modes
+    )
 
 
 class TestFitReport:
@@ -128,16 +282,26 @@ class TestFitReport:
         rates = {round(r.fit_i.rate, 9) for r in diag}
         assert len(rates) == 1  # isotropy: all diagonal fits identical
 
+    def test_equal_columns_fitted_once(self, monkeypatch):
+        calls = count_fits(monkeypatch)
+        model = sphere_spectral_model(SphereSpec(0.01, 1.5, 5.96e6), 8, tail_modes=0)
+        rows = fit_report(model, nu_max=47.0)
+        assert sorted(calls) == ["I", "R"]
+        diag = [row for row in rows if not row.skipped]
+        assert len(diag) == 3
+        assert all(row.fit_r is diag[0].fit_r for row in diag)
+        assert all(row.fit_i is diag[0].fit_i for row in diag)
+
+    def test_distinct_columns_fitted_separately(self, monkeypatch):
+        calls = count_fits(monkeypatch)
+        rows = fit_report(_two_axis_model(), nu_max=300.0)
+        # two nonzero columns (11 and 22), one R and one I fit each
+        assert sum(not row.skipped for row in rows) == 2
+        assert sorted(calls) == ["I", "I", "R", "R"]
+
     def test_anisotropic_model_distinct_rates(self):
         # distinct per-axis dominant modes give distinct fitted rates
-        modes = (
-            Mode(3.0, 1, np.array([[1.0, 0.0, 0.0]])),
-            Mode(30.0, 1, np.array([[0.0, 1.0, 0.0]])),
-        )
-        model = SpectralModel(
-            alpha=0.01, sigma_star=5.96e6, n0=SymTensor3.zero(), modes=modes
-        )
-        rows = fit_report(model, nu_max=300.0)
+        rows = fit_report(_two_axis_model(), nu_max=300.0)
         by_label = {r.label: r for r in rows}
         b11 = by_label["11"].fit_r.rate
         b22 = by_label["22"].fit_r.rate

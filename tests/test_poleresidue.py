@@ -406,6 +406,36 @@ class TestInputChecks:
         with pytest.raises(InvalidInputError):
             contour_residue(expansion, **{"n": 0, **kwargs})
 
+    @pytest.mark.parametrize("n", [-1, 2, 5])
+    def test_truncation_pole_index_checked(self, n):
+        tensors = [SymTensor3.isotropic(-1.0), SymTensor3.isotropic(-0.5)]
+        expansion = expansion_with_residues([1.0, 4.0], tensors)
+        with pytest.raises(InvalidInputError, match=f"pole index {n} out of range"):
+            select_truncation(expansion, n)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"poles_s": np.array([np.nan])},
+            {"poles_s": np.array([-np.inf])},
+            {"alpha": np.inf},
+            {"sigma_star": np.nan},
+        ],
+        ids=["nan-pole", "inf-pole", "inf-alpha", "nan-sigma"],
+    )
+    def test_non_finite_construction_rejected(self, kwargs):
+        args = {
+            "n0": SymTensor3.zero(),
+            "poles_s": np.array([-1.0]),
+            "residues": (SymTensor3.isotropic(-1.0),),
+            "nv": np.array([0]),
+            "alpha": 1.0,
+            "sigma_star": 1.0,
+        }
+        with pytest.raises(InvalidInputError, match="finite"):
+            PoleResidueExpansion(**{**args, **kwargs})
+
 
 class TestContourOnAutoExpansions:
     @pytest.mark.parametrize("n_modes", [30, 85])

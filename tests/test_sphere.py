@@ -1,5 +1,7 @@
 """Analytic sphere: closed-form scalar, pole spectrum, model extraction."""
 
+import hashlib
+
 import mpmath
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from mptspec import (
     sphere_poles,
     sphere_spectral_model,
 )
+from mptspec import sphere
+from mptspec.modelio import save_model
 from mptspec.sphere import _char, _contour_residues, _g_ratio, _m_of_w
 
 FIG1 = SphereSpec(alpha=0.01, mu_r=1.5, sigma_star=5.96e6)
@@ -213,6 +217,47 @@ class TestSphereSpectralModel:
         for mode in model.modes:
             gram = mode.gram()
             assert np.allclose(gram, gram[0, 0] * np.eye(3), atol=1e-15 * gram[0, 0])
+
+
+# SHA-256 of save_model's file for FIG1's radius and conductivity, written by
+# the builder that scanned the roots again and rebuilt the analytic target
+# for every tail size it tried (8, 16 and 24 for mu_r = 20).  They pin exact
+# bytes, so a numpy or scipy build that rounds differently also moves them.
+# (mu_r, n_modes, tail_modes) -> digest
+SAVED_MODEL_SHA256 = {
+    (1.0, 1, None): "e5497be8e6110da78089646263b42803f05ea19bdb4a5661d81657ce72c2ecd7",
+    (1.5, 10, None): "343a0aebbe4a268d7fe4da7b36a883d5ac694bd66c8991891bf99118563e46cd",
+    (3.8, 37, None): "823af35c7e3ccfafc8d209c0619c605d721f53e7d7a44380752c5dcfe70e7451",
+    (20.0, 5, None): "a3b38699848132efa557302f2cf89371e03c159ea9c799cdd0d10c56e44dc4c5",
+    (1.5, 30, 0): "d35ad4a7d34a783d57f3ffe44ba63ed0c1fdfb9aab3da668d4782e9e4a346fff",
+    (2.5, 8, 16): "018600ace7be20891f4cabbede23e799fd5089cebead863ffc325874181c9fdc",
+}
+
+
+class TestModelBuilderReusesWork:
+    @pytest.mark.parametrize("case", sorted(SAVED_MODEL_SHA256, key=str))
+    def test_saved_model_bytes_unchanged(self, case, tmp_path):
+        mu_r, n_modes, tail_modes = case
+        spec = SphereSpec(FIG1.alpha, mu_r, FIG1.sigma_star)
+        path = tmp_path / "model.json"
+        save_model(sphere_spectral_model(spec, n_modes, tail_modes), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SAVED_MODEL_SHA256[case]
+
+    @pytest.mark.parametrize("tail_modes", [None, 0, 16])
+    def test_one_root_scan_per_model(self, tail_modes, monkeypatch):
+        counts = []
+
+        def counted(spec, count):
+            counts.append(count)
+            return sphere_poles(spec, count)
+
+        monkeypatch.setattr(sphere, "sphere_poles", counted)
+        model = sphere_spectral_model(FIG1, 12, tail_modes)
+        # with tail modes the scan also yields lam_13, the tail basis anchor
+        assert counts == [12 if tail_modes == 0 else 13]
+        np.testing.assert_array_equal(
+            [m.lam for m in model.modes[:12]], sphere_poles(FIG1, 12)
+        )
 
 
 class TestExtractionGeneralises:
