@@ -34,7 +34,7 @@ class NumericRangeError(MptError, ArithmeticError):
 
 
 class PoleSpacingError(MptError, RuntimeError):
-    """Root bracketing or residue contour construction failed."""
+    """Root bracketing failed or an extracted pole spectrum is malformed."""
 
 
 class NoFitError(MptError, ValueError):

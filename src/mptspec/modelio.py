@@ -67,23 +67,22 @@ def model_to_document(model: SpectralModel) -> dict:
 
 def document_to_model(doc: dict) -> SpectralModel:
     try:
-        if doc["schema_version"] != SCHEMA_VERSION:
-            raise SchemaError(
-                f"unsupported schema_version {doc['schema_version']!r}"
-            )
+        version = doc["schema_version"]
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise SchemaError(f"unsupported schema_version {version!r}")
         n0 = SymTensor3(np.asarray(doc["N0"], dtype=float))
         modes = tuple(
             Mode(
-                lam=float(entry["lambda"]),
-                multiplicity=int(entry["multiplicity"]),
+                lam=entry["lambda"],
+                multiplicity=entry["multiplicity"],
                 couplings=np.asarray(entry["couplings"], dtype=float),
-                dark=bool(entry.get("dark", False)),
+                dark=entry.get("dark", False),
             )
             for entry in doc["modes"]
         )
         return SpectralModel(
-            alpha=float(doc["alpha_m"]),
-            sigma_star=float(doc["sigma_star_S_per_m"]),
+            alpha=doc["alpha_m"],
+            sigma_star=doc["sigma_star_S_per_m"],
             n0=n0,
             modes=modes,
             provenance=doc["provenance"],

@@ -14,6 +14,7 @@ evaluated at the dimensionless frequency nu = omega * sigma * mu0 * alpha^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -34,6 +35,11 @@ PROVENANCES = ("sphere-analytic", "surrogate", "external", "manual")
 MULTIPLICITY_REL_GAP = 1e-8
 
 
+def is_number(x, kind=Real) -> bool:
+    """A finite scalar of ``kind``, numpy scalars included; a bool is not one."""
+    return isinstance(x, kind) and not isinstance(x, bool) and bool(np.isfinite(x))
+
+
 @dataclass(frozen=True)
 class Mode:
     """One eigenvalue with its multiplicity and coupling rows.
@@ -50,10 +56,12 @@ class Mode:
     dark: bool = False
 
     def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam > 0.0):
-            raise InvalidInputError(f"mode eigenvalue must be positive, got {self.lam}")
-        if self.multiplicity < 1:
-            raise InvalidInputError("multiplicity must be >= 1")
+        if not (is_number(self.lam) and self.lam > 0.0):
+            raise InvalidInputError(f"mode eigenvalue must be positive, got {self.lam!r}")
+        if not (is_number(self.multiplicity, Integral) and self.multiplicity >= 1):
+            raise InvalidInputError("multiplicity must be a positive integer")
+        if not isinstance(self.dark, (bool, np.bool_)):
+            raise InvalidInputError(f"dark must be a bool, got {self.dark!r}")
         # a private read-only copy, so no caller can change a cached core
         c = np.array(self.couplings, dtype=float)
         c.setflags(write=False)
@@ -85,12 +93,15 @@ class SpectralModel:
     tail_bound: float | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and self.alpha > 0.0):
-            raise InvalidInputError("alpha must be positive")
-        if not (np.isfinite(self.sigma_star) and self.sigma_star > 0.0):
-            raise InvalidInputError("sigma_star must be positive")
+        if not all(is_number(x) and x > 0.0 for x in (self.alpha, self.sigma_star)):
+            raise InvalidInputError("alpha and sigma_star must be positive and finite")
         if self.provenance not in PROVENANCES:
             raise InvalidInputError(f"unknown provenance {self.provenance!r}")
+        if not isinstance(self.topology_flag, (str, type(None))):
+            raise InvalidInputError("topology_flag must be a string or None")
+        bound = self.tail_bound
+        if bound is not None and not (is_number(bound) and bound >= 0.0):
+            raise InvalidInputError(f"tail_bound must be finite and >= 0, got {bound!r}")
         object.__setattr__(self, "modes", tuple(self.modes))
         lams = [m.lam for m in self.modes]
         if any(b <= a for a, b in zip(lams, lams[1:])):

@@ -9,12 +9,17 @@ v = k * alpha, k^2 = i omega mu0 mu_r sigma (branch Re k > 0):
 The same scalar, continued to the w = i*nu plane, is meromorphic with simple
 poles at lam_n = v_n^2 / mu_r where v_n are the positive roots of
 (mu_r - 1) j1(v) + v j0(v) = 0; this is the closed-form pole spectrum used to
-extract a spectral model from the analytic solution.
+extract a spectral model from the analytic solution.  At a pole g = 1 - mu_r
+and dg/dv = (3g - g^2)/v - v, so with v_n^2 = mu_r lam_n the residues are
+closed form too, summing to pec - static = -6 pi alpha^3 mu_r / (mu_r + 2):
+
+    A_n = Res_w(m, lam_n) / lam_n = -12 pi alpha^3 mu_r / (v_n^2 + (mu_r - 1)(mu_r + 2))
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.optimize import brentq, nnls
@@ -25,12 +30,10 @@ from .errors import (
     NumericRangeError,
     PoleSpacingError,
 )
-from .spectral import MU0, Mode, SpectralModel
+from .spectral import MU0, Mode, SpectralModel, is_number
 from .tensors import SymTensor3
 
 _SERIES_SWITCH = 0.2  # |v| below which the small-argument series is used
-_CONTOUR_POINTS = 16
-_CONTOUR_REL_RADIUS = 1e-3
 
 
 @dataclass(frozen=True)
@@ -100,14 +103,19 @@ def mpt_sphere(spec: SphereSpec, omega: float) -> complex:
     m(0) is the magnetostatic value and Re m -> -2 pi a^3, Im m -> 0 as
     omega -> infinity.  Units m^3.
     """
-    if omega < 0.0:
-        raise DomainError("omega must be nonnegative")
+    if not 0.0 <= omega < np.inf:
+        raise DomainError(f"omega must be finite and nonnegative, got {omega!r}")
     return _m_of_w(spec, 1j * omega * spec.time_constant)
 
 
 def _char(v: float, mu_r: float) -> float:
     """(mu_r - 1) j1(v) + v j0(v), scaled form that is regular at v = 0."""
     return (mu_r - 1.0) * (np.sin(v) - v * np.cos(v)) / (v * v) + np.sin(v)
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    if not (is_number(value, Integral) and value >= minimum):
+        raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def sphere_poles(spec: SphereSpec, count: int) -> np.ndarray:
@@ -117,8 +125,7 @@ def sphere_poles(spec: SphereSpec, count: int) -> np.ndarray:
     mu_r = 1 they reduce to n*pi so lam_n = (n pi)^2, which fixes the
     convention against the nonpermeable sphere.
     """
-    if count < 1:
-        raise InvalidInputError("count must be >= 1")
+    _check_count("count", count, 1)
     roots = []
     step = np.pi / 64.0
     v_lo = 0.05
@@ -144,27 +151,6 @@ def sphere_poles(spec: SphereSpec, count: int) -> np.ndarray:
     if np.any(np.diff(lam) <= 0.0):
         raise PoleSpacingError("pole spectrum not strictly increasing")
     return lam
-
-
-def _contour_residues(spec: SphereSpec, lams: np.ndarray) -> np.ndarray:
-    """Residues of m(w) at each pole by small-circle contour averaging."""
-    residues = np.empty(lams.size)
-    gaps = np.diff(lams)
-    theta = np.linspace(0.0, 2.0 * np.pi, _CONTOUR_POINTS, endpoint=False)
-    unit = np.exp(1j * theta)
-    for n, lam in enumerate(lams):
-        gap_prev = lam if n == 0 else gaps[n - 1]
-        gap_next = gaps[n] if n < lams.size - 1 else gap_prev
-        radius = _CONTOUR_REL_RADIUS * min(gap_prev, gap_next)
-        samples = np.array([_m_of_w(spec, lam + radius * u) for u in unit])
-        res = (samples * radius * unit).mean()
-        if abs(res.imag) > 1e-8 * abs(res):
-            raise PoleSpacingError(
-                f"contour at pole {n} picked up a neighbour (Im residue "
-                f"{res.imag:g} vs {res.real:g})"
-            )
-        residues[n] = res.real
-    return residues
 
 
 def _isotropic_mode(lam: float, a_n: float, alpha: float) -> Mode:
@@ -255,13 +241,14 @@ def sphere_spectral_model(
     """Extract a spectral model from the analytic sphere solution.
 
     The first ``n_modes`` modes carry the exact pole eigenvalues from
-    :func:`sphere_poles` and contour-extracted residues, each isotropic with
-    multiplicity 3.  Because the residues only decay like 1/n^2, the raw
-    truncation misses a few percent of the response at frequencies far above
-    lam_N; by default a small set of effective tail modes (eigenvalues above
-    the stored spectrum, fitted residues) compensates so that assembly
-    reproduces the analytic curve over ``f_band`` and the exact limits at
-    both ends.  Pass ``tail_modes=0`` for the raw truncation.
+    :func:`sphere_poles` and their closed-form residues (module docstring)
+    A_n = -12 pi alpha^3 mu_r / (mu_r lam_n + (mu_r - 1)(mu_r + 2)), each
+    isotropic with multiplicity 3.  Because the residues only decay like
+    1/n^2, the raw truncation misses a few percent of the response at
+    frequencies far above lam_N; by default a small set of effective tail
+    modes (eigenvalues above the stored spectrum, fitted residues) compensates
+    so that assembly reproduces the analytic curve over ``f_band`` and the
+    exact limits at both ends.  Pass ``tail_modes=0`` for the raw truncation.
 
     Parameters
     ----------
@@ -270,15 +257,17 @@ def sphere_spectral_model(
     tail_modes : number of compensation modes (None = automatic)
     f_band : frequency band (Hz) the compensated model must reproduce
     """
-    if n_modes < 1:
-        raise InvalidInputError("n_modes must be >= 1")
+    _check_count("n_modes", n_modes, 1)
+    _check_count("tail_modes", 0 if tail_modes is None else tail_modes, 0)
+    if not 0.0 < f_band[0] < f_band[1] < np.inf:
+        raise InvalidInputError(f"f_band must be finite, positive, increasing: {f_band!r}")
     counts = (8, 16, 24) if tail_modes is None else ((tail_modes,) if tail_modes else ())
     # one root scan also yields lam_{N+1}, which anchors the tail basis; the
     # scan finds roots in order, so its first N equal sphere_poles(spec, N)
     scanned = sphere_poles(spec, n_modes + 1 if counts else n_modes)
     lams = scanned[:n_modes]
-    res_w = _contour_residues(spec, lams)
-    residues = res_w / lams  # A_n = Res_w(m, lam_n) / lam_n
+    mu = spec.mu_r
+    residues = -12.0 * np.pi * spec.alpha**3 * mu / (mu * lams + (mu - 1.0) * (mu + 2.0))
     if np.any(residues >= 0.0):
         raise PoleSpacingError("extracted a non-negative residue tensor")
     n0 = spec.static_value()

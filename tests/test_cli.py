@@ -6,9 +6,11 @@ import os
 import numpy as np
 import pytest
 
+from mptspec import SchemaError, SphereSpec, sphere_spectral_model
 from mptspec.cli import main
 from mptspec.modelio import (
     SWEEP_HEADER,
+    document_to_model,
     load_model,
     model_to_document,
     read_sweep_csv,
@@ -63,6 +65,40 @@ class TestModelDocument:
         for m1, m2 in zip(model.modes, back.modes):
             assert m1.lam == m2.lam
             np.testing.assert_array_equal(m1.couplings, m2.couplings)
+
+
+# (path into the model document, value written there); the loader coerced
+# or accepted every one of these before it checked field types
+BAD_FIELDS = [
+    (("tail_bound",), "abc"),
+    (("tail_bound",), float("nan")),
+    (("tail_bound",), -1.0),
+    (("modes", 0, "multiplicity"), 3.7),
+    (("modes", 0, "dark"), "false"),
+    (("modes", 0, "lambda"), True),
+    (("topology_flag",), 42),
+    (("schema_version",), True),
+    (("schema_version",), 1.0),
+]
+
+
+class TestStrictModelDocument:
+    @pytest.mark.parametrize(
+        "path, value", BAD_FIELDS, ids=[f"{p[-1]}={v!r}" for p, v in BAD_FIELDS]
+    )
+    def test_bad_field_is_schema_error(self, path, value, tmp_path):
+        model = sphere_spectral_model(SphereSpec(0.01, 1.5, 5.96e6), 3)
+        doc = model_to_document(model)
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(SchemaError):
+            document_to_model(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--model", str(bad), "--fmax", "1e4", "--out", str(out)]) == 1
 
 
 class TestSweepCsv:

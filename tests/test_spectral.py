@@ -468,6 +468,15 @@ class TestModeInvariants:
         with pytest.raises(InvalidInputError):
             Mode(1.0, 1, np.array([[1.0, np.nan, 0.0]]))
 
+    def test_numpy_scalars_accepted(self):
+        # modes_from_eigenvalues hands over numpy floats and np.bool_ flags
+        mode = Mode(np.float64(2.0), np.int64(2), np.zeros((2, 3)), dark=np.bool_(True))
+        model = SpectralModel(
+            np.float64(0.01), np.float32(1e6), SymTensor3.zero(), (mode,),
+            tail_bound=np.float64(0.0),
+        )
+        assert model.modes[0].multiplicity == 2
+
 
 def _loop_beta_parts(nu, lam):
     # the scalar branch form the array core replaced

@@ -9,6 +9,7 @@ from scipy.integrate import solve_ivp
 
 from mptspec import (
     DomainError,
+    InvalidInputError,
     SphereSpec,
     assemble,
     limit_tensors,
@@ -18,9 +19,50 @@ from mptspec import (
 )
 from mptspec import sphere
 from mptspec.modelio import save_model
-from mptspec.sphere import _char, _contour_residues, _g_ratio, _m_of_w
+from mptspec.sphere import _char, _g_ratio, _m_of_w
 
 FIG1 = SphereSpec(alpha=0.01, mu_r=1.5, sigma_star=5.96e6)
+
+_CONTOUR_POINTS = 16
+_CONTOUR_REL_RADIUS = 1e-3
+
+
+def contour_residues(spec: SphereSpec, lams: np.ndarray) -> np.ndarray:
+    """Reference residues of m(w) at each pole by small-circle contour averaging.
+
+    Independent of the closed form the builder uses: it only samples the
+    analytic scalar on a circle of radius 1e-3 of the nearer pole gap.
+    """
+    residues = np.empty(lams.size)
+    gaps = np.diff(lams)
+    theta = np.linspace(0.0, 2.0 * np.pi, _CONTOUR_POINTS, endpoint=False)
+    unit = np.exp(1j * theta)
+    for n, lam in enumerate(lams):
+        gap_prev = lam if n == 0 else gaps[n - 1]
+        gap_next = gaps[n] if n < lams.size - 1 else gap_prev
+        radius = _CONTOUR_REL_RADIUS * min(gap_prev, gap_next)
+        samples = np.array([_m_of_w(spec, lam + radius * u) for u in unit])
+        res = (samples * radius * unit).mean()
+        # a circle that picked up a neighbouring pole leaves an imaginary part
+        assert abs(res.imag) <= 1e-8 * abs(res), (n, res)
+        residues[n] = res.real
+    return residues
+
+
+def closed_form_residues(spec: SphereSpec, lams: np.ndarray) -> np.ndarray:
+    """A_n = -12 pi alpha^3 mu_r / (mu_r lam_n + (mu_r - 1)(mu_r + 2))."""
+    mu = spec.mu_r
+    return -12.0 * np.pi * spec.alpha**3 * mu / (mu * lams + (mu - 1.0) * (mu + 2.0))
+
+
+def model_residues(model) -> np.ndarray:
+    """Scalar residue a_n of each isotropic mode, A_n = a_n I."""
+    return np.array(
+        [
+            -(model.alpha**3) * m.lam / 4.0 * float((m.couplings**2).sum(axis=0)[0])
+            for m in model.modes
+        ]
+    )
 
 
 def g_ratio_mpmath(v: complex) -> complex:
@@ -191,13 +233,11 @@ class TestSphereSpectralModel:
         n_phys = 12
         model = sphere_spectral_model(FIG1, n_phys)
         lams = sphere_poles(FIG1, n_phys)
-        raw = _contour_residues(FIG1, lams) / lams
         for n in range(n_phys):
             assert model.modes[n].lam == pytest.approx(lams[n], rel=1e-13)
-            a_n = -(FIG1.alpha**3) * model.modes[n].lam / 4.0 * float(
-                (model.modes[n].couplings**2).sum(axis=0)[0]
-            )
-            assert a_n == pytest.approx(raw[n], rel=1e-8)
+        np.testing.assert_allclose(
+            model_residues(model)[:n_phys], closed_form_residues(FIG1, lams), rtol=1e-13
+        )
 
     def test_raw_truncation_keeps_only_physical_modes(self):
         model = sphere_spectral_model(FIG1, 10, tail_modes=0)
@@ -219,18 +259,107 @@ class TestSphereSpectralModel:
             assert np.allclose(gram, gram[0, 0] * np.eye(3), atol=1e-15 * gram[0, 0])
 
 
+# (mu_r, number of poles) for the comparison against the contour reference
+CONTOUR_CASES = [(0.3, 60), (0.5, 64), (1.0, 68), (1.5, 72), (3.8, 76), (4.0, 80), (10.0, 85)]
+
+
+class TestClosedFormResidues:
+    @pytest.mark.parametrize("mu_r, n_poles", CONTOUR_CASES)
+    def test_matches_contour_reference_at_every_pole(self, mu_r, n_poles):
+        spec = SphereSpec(FIG1.alpha, mu_r, FIG1.sigma_star)
+        model = sphere_spectral_model(spec, n_poles, tail_modes=0)
+        lams = np.array([m.lam for m in model.modes])
+        reference = contour_residues(spec, lams) / lams
+        np.testing.assert_allclose(model_residues(model), reference, rtol=1e-10, atol=0)
+
+    def test_nonpermeable_residues(self):
+        spec = SphereSpec(FIG1.alpha, 1.0, FIG1.sigma_star)
+        model = sphere_spectral_model(spec, 85, tail_modes=0)
+        n = np.arange(1, 86)
+        expect = -12.0 * spec.alpha**3 / (n**2 * np.pi)
+        np.testing.assert_allclose(model_residues(model), expect, rtol=1e-12, atol=0)
+
+    def test_nonpermeable_sum_rule_remainder_is_trigamma(self):
+        # sum_{n>N} 12 alpha^3 / (n^2 pi) = (12 alpha^3 / pi) psi_1(N + 1)
+        spec = SphereSpec(FIG1.alpha, 1.0, FIG1.sigma_star)
+        model = sphere_spectral_model(spec, 85, tail_modes=0)
+        remainder = (spec.pec_value() - spec.static_value()) - np.cumsum(
+            model_residues(model)
+        )
+        for n in (1, 2, 5, 30, 85):
+            expect = -(12.0 * spec.alpha**3 / np.pi) * float(mpmath.psi(1, n + 1))
+            assert remainder[n - 1] == pytest.approx(expect, rel=1e-10)
+
+    @pytest.mark.parametrize("mu_r", [0.3, 1.5, 3.8, 10.0])
+    def test_sum_rule_remainder_shrinks_like_one_over_n(self, mu_r):
+        # A_n -> -12 alpha^3 mu_r / (pi n^2), so N * remainder -> -12 alpha^3 mu_r / pi
+        spec = SphereSpec(FIG1.alpha, mu_r, FIG1.sigma_star)
+        model = sphere_spectral_model(spec, 85, tail_modes=0)
+        remainder = (spec.pec_value() - spec.static_value()) - np.cumsum(
+            model_residues(model)
+        )
+        assert np.all(remainder < 0.0)
+        assert np.all(np.diff(np.abs(remainder)) < 0.0)
+        ratio = np.arange(1, 86) * remainder / (-12.0 * spec.alpha**3 * mu_r / np.pi)
+        assert ratio[-1] == pytest.approx(1.0, abs=0.01)
+        assert abs(ratio[-1] - 1.0) < abs(ratio[29] - 1.0) < abs(ratio[9] - 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+class TestSphereInputChecks:
+    @pytest.mark.parametrize("omega", [np.nan, np.inf])
+    def test_mpt_sphere_rejects_non_finite_omega(self, omega):
+        with pytest.raises(DomainError):
+            mpt_sphere(FIG1, omega)
+
+    def test_fractional_mode_count(self):
+        with pytest.raises(InvalidInputError):
+            sphere_spectral_model(FIG1, 2.5)
+
+    def test_bool_mode_count(self):
+        with pytest.raises(InvalidInputError):
+            sphere_spectral_model(FIG1, True)
+
+    def test_fractional_tail_modes(self):
+        with pytest.raises(InvalidInputError):
+            sphere_spectral_model(FIG1, 5, tail_modes=2.5)
+
+    def test_negative_tail_modes(self):
+        with pytest.raises(InvalidInputError):
+            sphere_spectral_model(FIG1, 5, tail_modes=-1)
+
+    def test_fractional_pole_count(self):
+        with pytest.raises(InvalidInputError):
+            sphere_poles(FIG1, 2.5)
+
+    def test_numpy_integer_counts_accepted(self):
+        model = sphere_spectral_model(FIG1, np.int64(3), tail_modes=np.int32(0))
+        assert len(model.modes) == 3
+        assert sphere_poles(FIG1, np.int64(2)).size == 2
+
+    @pytest.mark.parametrize(
+        "f_band",
+        [(np.nan, 1e8), (1e-2, np.inf), (1e8, 1e-2), (0.0, 1e8), (-1.0, 1e8)],
+        ids=["nan", "inf", "reversed", "zero", "negative"],
+    )
+    def test_bad_f_band(self, f_band):
+        with pytest.raises(InvalidInputError):
+            sphere_spectral_model(FIG1, 5, f_band=f_band)
+
+
 # SHA-256 of save_model's file for FIG1's radius and conductivity, written by
-# the builder that scanned the roots again and rebuilt the analytic target
-# for every tail size it tried (8, 16 and 24 for mu_r = 20).  They pin exact
-# bytes, so a numpy or scipy build that rounds differently also moves them.
+# the builder with closed-form prefix residues.  Against the contour-residue
+# builder they replace, every eigenvalue and mode count is bit-identical and
+# the prefix residues moved by at most 9e-13 relative.  They pin exact bytes,
+# so a numpy or scipy build that rounds differently also moves them.
 # (mu_r, n_modes, tail_modes) -> digest
 SAVED_MODEL_SHA256 = {
-    (1.0, 1, None): "e5497be8e6110da78089646263b42803f05ea19bdb4a5661d81657ce72c2ecd7",
-    (1.5, 10, None): "343a0aebbe4a268d7fe4da7b36a883d5ac694bd66c8991891bf99118563e46cd",
-    (3.8, 37, None): "823af35c7e3ccfafc8d209c0619c605d721f53e7d7a44380752c5dcfe70e7451",
-    (20.0, 5, None): "a3b38699848132efa557302f2cf89371e03c159ea9c799cdd0d10c56e44dc4c5",
-    (1.5, 30, 0): "d35ad4a7d34a783d57f3ffe44ba63ed0c1fdfb9aab3da668d4782e9e4a346fff",
-    (2.5, 8, 16): "018600ace7be20891f4cabbede23e799fd5089cebead863ffc325874181c9fdc",
+    (1.0, 1, None): "af59d8916ede399410aee15164f7be655ecb600c8286b7f82085882a0cba4278",
+    (1.5, 10, None): "e0871d10c938f9595418e749b7862768ad7b19af14fc5bad730d8533936e39a9",
+    (3.8, 37, None): "8bbe265ec100234a11258927134c3a4e467c241262ff917cb84c7d7b5eed55f0",
+    (20.0, 5, None): "940e66b0dc2a3d19c2d53ceffe7bdf50212283f21e5009de41be7ee8f9dc444f",
+    (1.5, 30, 0): "e3d216c3ba1bf52761162ec48989dd290a311fbce38445e3896aeb57ce3af371",
+    (2.5, 8, 16): "bc854a2ef2c4112bb4e3d7f178f8d38cf0ae935b8b27acbecdcc49f59ea57c6b",
 }
 
 
