@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -32,8 +33,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _frequency_grid(fmin: float, fmax: float, points: int, log: bool) -> np.ndarray:
-    if fmax <= 0.0 or fmax < fmin or points < 2:
-        raise _UsageError("need 0 <= fmin <= fmax, fmax > 0 and points >= 2")
+    # one positive test, so that NaN fails it
+    if not (0.0 <= fmin <= fmax < math.inf and fmax > 0.0 and points >= 2):
+        raise _UsageError("need finite 0 <= fmin <= fmax, fmax > 0 and points >= 2")
     if not log:
         return np.linspace(fmin, fmax, points)
     if fmin > 0.0:
@@ -108,30 +110,21 @@ def _cmd_fit(args) -> int:
         )
     if args.json_out:
         modelio.write_json(args.json_out, {"nu_max": args.numax, "fits": table})
-    header = "coefficient,a,b,c,d,rms_R,rms_I,converged,rates_agree_15pct"
-    lines = [header]
+    header = "coefficient,a,b,c,d,rms_R,rms_I,converged,rates_agree_15pct".split(",")
+    csv_rows = []
     for entry in table:
         if entry["skipped"]:
-            lines.append(f"{entry['coefficient']},skipped,,,,,,,")
+            csv_rows.append([entry["coefficient"], "skipped"] + [""] * 7)
             continue
-        lines.append(
-            ",".join(
-                [
-                    entry["coefficient"],
-                    *(f"{entry[k]:.17g}" for k in ("a", "b", "c", "d")),
-                    f"{entry['rms_R']:.17g}",
-                    f"{entry['rms_I']:.17g}",
-                    str(entry["converged"]),
-                    str(entry["rates_agree_15pct"]),
-                ]
-            )
+        csv_rows.append(
+            [entry[k] for k in header[:7]] + [str(entry[k]) for k in header[7:]]
         )
-    text = "\n".join(lines)
+    text = modelio.csv_text(header, csv_rows)
     if args.out:
-        modelio.write_text(args.out, text + "\n")
+        modelio.write_text(args.out, text)
         print(f"wrote fit table to {args.out}")
     else:
-        print(text)
+        print(text, end="")
     if args.residuals:
         kept = [r for r in rows if not r.skipped]
         nu = sweep["nu"][sweep["nu"] <= args.numax]
@@ -140,18 +133,16 @@ def _cmd_fit(args) -> int:
         for row in kept:
             header_cols += [f"resR{row.label}", f"resI{row.label}"]
             cols += [row.fit_r.residual_curve, row.fit_i.residual_curve]
-        lines = [",".join(header_cols)]
-        for k in range(len(nu)):
-            lines.append(",".join(f"{c[k]:.17g}" for c in cols))
-        modelio.write_text(args.residuals, "\n".join(lines) + "\n")
+        text = modelio.csv_text(header_cols, np.column_stack(cols).tolist())
+        modelio.write_text(args.residuals, text)
         print(f"wrote residual curves to {args.residuals}")
     return 0
 
 
 def _cmd_transient(args) -> int:
+    if not (-math.inf < args.tmin < args.tmax < math.inf and args.points >= 2):
+        raise _UsageError("need finite tmin < tmax and points >= 2")
     model = modelio.load_model(args.model)
-    if args.tmax <= args.tmin:
-        raise _UsageError("need tmax > tmin")
     times = np.linspace(args.tmin, args.tmax, args.points)
     if args.kind == "step":
         kernel = transient.TransientKernel.step(model)
@@ -233,12 +224,9 @@ def _cmd_commutator(args) -> int:
             raise _UsageError(f"kind {args.kind} requires --f2")
         nu2 = float(model.nu_from_omega(2.0 * np.pi * args.f2))
     header = ["nu", "omega_rad_s", "f_Hz", "absZ12", "absZ13", "absZ23"]
-    lines = [",".join(header)]
-    for k, nu_k in enumerate(nu):
-        z = commutator_Z(model, float(nu_k), nu2, kind=args.kind)
-        vals = [nu_k, omega[k], freq[k], abs(z[0, 1]), abs(z[0, 2]), abs(z[1, 2])]
-        lines.append(",".join(f"{v:.17g}" for v in vals))
-    modelio.write_text(args.out, "\n".join(lines) + "\n")
+    z = np.array([commutator_Z(model, float(nu_k), nu2, kind=args.kind) for nu_k in nu])
+    table = np.column_stack((nu, omega, freq, np.abs(z[:, [0, 0, 1], [1, 2, 2]])))
+    modelio.write_text(args.out, modelio.csv_text(header, table.tolist()))
     print(f"wrote {len(nu)} commutator rows to {args.out}")
     return 0
 

@@ -15,7 +15,7 @@ import tempfile
 import numpy as np
 
 from .errors import SchemaError
-from .spectral import Mode, SpectralModel
+from .spectral import Mode, SpectralModel, is_number
 from .tensors import PACKED_LABELS, SymTensor3
 
 SCHEMA_VERSION = 1
@@ -65,17 +65,25 @@ def model_to_document(model: SpectralModel) -> dict:
     return doc
 
 
+def _real_array(value) -> np.ndarray:
+    # element by element, so that a bool or a numeric string is not coerced
+    arr = np.array(value, dtype=object)
+    if not all(is_number(x) for x in arr.flat):
+        raise SchemaError("N0 and couplings must hold finite real numbers only")
+    return arr.astype(float)
+
+
 def document_to_model(doc: dict) -> SpectralModel:
     try:
         version = doc["schema_version"]
         if type(version) is not int or version != SCHEMA_VERSION:
             raise SchemaError(f"unsupported schema_version {version!r}")
-        n0 = SymTensor3(np.asarray(doc["N0"], dtype=float))
+        n0 = SymTensor3(_real_array(doc["N0"]))
         modes = tuple(
             Mode(
                 lam=entry["lambda"],
                 multiplicity=entry["multiplicity"],
-                couplings=np.asarray(entry["couplings"], dtype=float),
+                couplings=_real_array(entry["couplings"]),
                 dark=entry.get("dark", False),
             )
             for entry in doc["modes"]
@@ -106,8 +114,17 @@ def load_model(path: str) -> SpectralModel:
     return document_to_model(doc)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def csv_text(header, rows) -> str:
+    """CSV text: the header line, then one line per row, newline-terminated.
+
+    Strings are written as given and numbers with 17 significant digits, so
+    every double reads back exactly.  Pass rows of Python floats (an array's
+    ``tolist()``): they format faster than numpy scalars.
+    """
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def write_sweep_csv(
@@ -120,26 +137,24 @@ def write_sweep_csv(
     imm_rows: np.ndarray,
 ) -> None:
     """Emit one sweep row per grid point with the fixed 27-column schema."""
-    lines = [",".join(SWEEP_HEADER)]
     freq = np.asarray(omega) / (2.0 * np.pi)
-    for k in range(len(nu)):
-        fields = (
-            [nu[k], omega[k], freq[k]]
-            + list(r_rows[k])
-            + list(i_rows[k])
-            + list(rem_rows[k])
-            + list(imm_rows[k])
-        )
-        lines.append(",".join(_fmt(v) for v in fields))
-    write_text(path, "\n".join(lines) + "\n")
+    table = np.column_stack((nu, omega, freq, r_rows, i_rows, rem_rows, imm_rows))
+    write_text(path, csv_text(SWEEP_HEADER, table.tolist()))
 
 
 def read_sweep_csv(path: str) -> dict:
-    """Parse a sweep CSV back into arrays; the header must match exactly."""
+    """Parse a sweep CSV back into arrays; the header must match exactly.
+
+    Fields may carry surrounding spaces and any exponent form.  What the
+    writer never emits but ``float()`` accepts is a ``SchemaError``: a
+    non-finite value, an underscore digit separator or a non-ASCII digit.
+    """
     with open(path) as handle:
         lines = [line.strip() for line in handle if line.strip()]
     if not lines or lines[0].split(",") != SWEEP_HEADER:
         raise SchemaError(f"{path} does not carry the sweep CSV header")
+    if not all(line.isascii() and "_" not in line for line in lines[1:]):
+        raise SchemaError(f"{path} has an underscore or non-ASCII text in a sweep row")
     try:
         data = np.array(
             [[float(v) for v in line.split(",")] for line in lines[1:]], dtype=float
@@ -148,6 +163,8 @@ def read_sweep_csv(path: str) -> dict:
         raise SchemaError(f"{path} has malformed sweep rows: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != len(SWEEP_HEADER):
         raise SchemaError(f"{path} has malformed sweep rows")
+    if not np.all(np.isfinite(data)):
+        raise SchemaError(f"{path} has a non-finite value in a sweep row")
     return {
         "nu": data[:, 0],
         "omega": data[:, 1],
@@ -162,10 +179,7 @@ def read_sweep_csv(path: str) -> dict:
 def write_transient_csv(path: str, times: np.ndarray, rows: np.ndarray) -> None:
     """Kernel time series: t_s then the six packed coefficients."""
     header = ["t_s"] + [f"K{lbl}" for lbl in PACKED_LABELS]
-    lines = [",".join(header)]
-    for k in range(len(times)):
-        lines.append(",".join(_fmt(v) for v in [times[k], *rows[k]]))
-    write_text(path, "\n".join(lines) + "\n")
+    write_text(path, csv_text(header, np.column_stack((times, rows)).tolist()))
 
 
 def write_json(path: str, payload: dict) -> None:

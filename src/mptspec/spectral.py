@@ -13,6 +13,7 @@ evaluated at the dimensionless frequency nu = omega * sigma * mu0 * alpha^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral, Real
 
@@ -36,8 +37,16 @@ MULTIPLICITY_REL_GAP = 1e-8
 
 
 def is_number(x, kind=Real) -> bool:
-    """A finite scalar of ``kind``, numpy scalars included; a bool is not one."""
-    return isinstance(x, kind) and not isinstance(x, bool) and bool(np.isfinite(x))
+    """A finite scalar of ``kind``, numpy scalars included.
+
+    A bool is not one, nor an int too large for a double.
+    """
+    if not isinstance(x, kind) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)

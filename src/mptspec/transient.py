@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SingularityError
-from .spectral import SpectralModel, limit_tensors, mode_tensor
+from .spectral import SpectralModel, _core, limit_tensors, mode_tensor
 from .tensors import SymTensor3, dipole_green_hessian
 
 
@@ -183,10 +183,11 @@ def convolve_excitation(
         raise InvalidInputError("query times must be a finite, nondecreasing 1-D array")
     if t_query.size == 0:
         return []
-    kernel = TransientKernel.impulse(model)
-    rates = np.array([s_n for s_n, _ in kernel.exp_terms])
-    # b_n = s_n A_n, so the pole state multiplies A_n = b_n / s_n
-    residues = np.reshape([b_n.coeffs / s_n for s_n, b_n in kernel.exp_terms], (-1, 6))
+    lams, residues = _core(model)
+    rates = -lams / model.time_constant
+    if not np.all(np.isfinite(rates) & (rates < 0.0)):
+        raise InvalidInputError("decay rates must be finite and negative")
+    _, minf = limit_tensors(model)
 
     times, values = excitation.times, excitation.values
     # pieces run contiguously from the first sample to the last query time
@@ -208,7 +209,7 @@ def convolve_excitation(
 
     # queries at or before the first sample map to grid[0], where x = 0
     u_query = np.where(t_query < times[0], 0.0, np.interp(t_query, times, values))
-    coeffs = np.outer(u_query, kernel.delta_part.coeffs)
+    coeffs = np.outer(u_query, minf.coeffs)
     coeffs += states[np.searchsorted(grid, t_query)] @ residues
     return [SymTensor3(row) for row in coeffs]
 

@@ -1,5 +1,6 @@
 """Command-line surface, serialisation round-trips, exit-code contract."""
 
+import hashlib
 import json
 import os
 
@@ -10,11 +11,14 @@ from mptspec import SchemaError, SphereSpec, sphere_spectral_model
 from mptspec.cli import main
 from mptspec.modelio import (
     SWEEP_HEADER,
+    csv_text,
     document_to_model,
     load_model,
     model_to_document,
     read_sweep_csv,
     save_model,
+    write_sweep_csv,
+    write_transient_csv,
 )
 from conftest import random_model
 
@@ -79,12 +83,23 @@ BAD_FIELDS = [
     (("topology_flag",), 42),
     (("schema_version",), True),
     (("schema_version",), 1.0),
+    (("N0", 0), True),
+    (("N0", 2), "1e-3"),
+    (("N0", 5), None),
+    (("modes", 0, "couplings", 0, 0), True),
+    (("modes", 0, "couplings", 0, 1), "1e-3"),
 ]
+
+
+def _field_id(path, value) -> str:
+    # the last key of the path and any list indices after it: couplings[0][1]
+    i = max(k for k, key in enumerate(path) if isinstance(key, str))
+    return path[i] + "".join(f"[{k}]" for k in path[i + 1 :]) + f"={value!r}"
 
 
 class TestStrictModelDocument:
     @pytest.mark.parametrize(
-        "path, value", BAD_FIELDS, ids=[f"{p[-1]}={v!r}" for p, v in BAD_FIELDS]
+        "path, value", BAD_FIELDS, ids=[_field_id(p, v) for p, v in BAD_FIELDS]
     )
     def test_bad_field_is_schema_error(self, path, value, tmp_path):
         model = sphere_spectral_model(SphereSpec(0.01, 1.5, 5.96e6), 3)
@@ -159,6 +174,36 @@ class TestExitCodes:
         bad.write_text("{}")
         out = tmp_path / "x.csv"
         assert main(["sweep", "--model", str(bad), "--fmax", "1", "--out", str(out)]) == 1
+
+
+# numeric CLI arguments the subcommands accepted, coerced or failed late on;
+# "MODEL" stands for a model file, and the test appends --out
+STEP = ["transient", "--model", "MODEL", "--kind", "step"]
+BAD_ARGUMENTS = [
+    ["sweep", "--model", "MODEL", "--fmin", "-5", "--fmax", "1e4"],
+    ["sweep", "--model", "MODEL", "--fmin", "nan", "--fmax", "1e4"],
+    ["sweep", "--model", "MODEL", "--fmax", "inf"],
+    ["sweep", "--model", "MODEL", "--fmax", "nan", "--no-log"],
+    ["sphere", "--alpha", "0.01", "--mur", "1.5", "--sigma", "5.96e6", "--fmin", "-3"],
+    ["commutator", "--model", "MODEL", "--fmin", "-1", "--fmax", "1e4"],
+    STEP + ["--tmax", "1e-3", "--points", "-1"],
+    STEP + ["--tmax", "1e-3", "--points", "1"],
+    STEP + ["--tmax", "nan"],
+    ["transient", "--model", "MODEL", "--kind", "impulse", "--tmin=-inf", "--tmax", "1"],
+]
+
+
+class TestStrictArguments:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv", BAD_ARGUMENTS, ids=[" ".join(a) for a in BAD_ARGUMENTS]
+    )
+    def test_bad_number_is_usage_error(self, argv, tmp_path, sphere_model_path, capsys):
+        out = tmp_path / "out.csv"
+        argv = [sphere_model_path if a == "MODEL" else a for a in argv]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: need finite")
+        assert not out.exists()
 
 
 class TestTransientCli:
@@ -313,3 +358,172 @@ class TestMalformedSweep:
         bad = tmp_path / "bad.csv"
         bad.write_text(",".join(SWEEP_HEADER) + "\n1,2,not_a_number\n")
         assert main(["fit", "--sweep", str(bad), "--numax", "10"]) == 1
+
+
+def _cli_table_outputs(tmp_path, capsys) -> dict:
+    """Run every table-writing subcommand on fixed inputs; name -> bytes."""
+    p = {name: str(tmp_path / name) for name in (
+        "m.json", "sphere.csv", "log.csv", "lin.csv", "fit.csv", "fit.json",
+        "res.csv", "step.csv", "imp.csv", "imp.json", "aniso.json", "ri.csv", "rr.csv",
+    )}
+    sphere = ["sphere", "--alpha", "0.01", "--mur", "1.5", "--sigma", "5.96e6"]
+    runs = [
+        sphere + ["--emit-model", p["m.json"], "--modes", "10"],
+        sphere + ["--fmin", "0", "--fmax", "1e4", "--points", "120",
+                  "--out", p["sphere.csv"]],
+        ["sweep", "--model", p["m.json"], "--fmin", "0", "--fmax", "1e4",
+         "--points", "80", "--out", p["log.csv"]],
+        ["sweep", "--model", p["m.json"], "--fmin", "10", "--fmax", "1e4",
+         "--points", "50", "--no-log", "--out", p["lin.csv"]],
+        ["fit", "--sweep", p["sphere.csv"], "--numax", "47.06", "--out", p["fit.csv"],
+         "--json", p["fit.json"], "--residuals", p["res.csv"]],
+        ["transient", "--model", p["m.json"], "--kind", "step", "--tmin", "0",
+         "--tmax", "1e-3", "--points", "40", "--out", p["step.csv"]],
+        ["transient", "--model", p["m.json"], "--kind", "impulse", "--tmin", "0",
+         "--tmax", "1e-3", "--points", "40", "--out", p["imp.csv"],
+         "--delta-out", p["imp.json"]],
+    ]
+    save_model(random_model(4, n_modes=3), p["aniso.json"])
+    commutator = ["commutator", "--model", p["aniso.json"], "--fmin", "1",
+                  "--fmax", "1e5", "--points", "40"]
+    runs += [
+        commutator + ["--kind", "RI", "--out", p["ri.csv"]],
+        commutator + ["--kind", "RR", "--f2", "300", "--out", p["rr.csv"]],
+    ]
+    for argv in runs:
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["fit", "--sweep", p["sphere.csv"], "--numax", "47.06"]) == 0
+    out = {name: (tmp_path / name).read_bytes() for name in p}
+    out["fit stdout"] = capsys.readouterr().out.encode()
+    return out
+
+
+# SHA-256 of every file and of the stdout table written by the commands of
+# _cli_table_outputs, taken before the tables shared one CSV writer
+CLI_TABLE_SHA256 = {
+    "m.json": "e0871d10c938f9595418e749b7862768ad7b19af14fc5bad730d8533936e39a9",
+    "sphere.csv": "c31955a384c52d9cc99141c553cdccf19d7210f23101ffd3bf8be70e5850e234",
+    "log.csv": "682ca04982ccba1f1ca899c8c174ddae5655d6fe8b98c15a939d0b24423d3c03",
+    "lin.csv": "c925c86ebf283173c52d4ec7ff8150e32776b15e70da65279dfaeb00ad56afd0",
+    "fit.csv": "b4505300c0e679bea733cddf041ebdced2e861370f434ad72faed29e9e622043",
+    "fit.json": "8eff9352ff749133433cf153082bc53530f7901d5c6384ed40533a2ae56615dc",
+    "res.csv": "832d5959d081bd18e0b7b141af6bd88f20e777871793995bd19ebdf5e0c580e3",
+    "step.csv": "fa82434b9b9753629e7e99b5d2f58467503190e55f9fecfd03e37a9f59b0f64e",
+    "imp.csv": "cbdff570bda661308a616097673696d3ad387dc17086e30ffbb7f48a1e4499e1",
+    "imp.json": "410ba3eabab4676147c7b1dfe657c322d048eb5eed02d4faeea87d613a40585d",
+    "aniso.json": "98697a68fef20dc35972af5cf38f478fd1fa91236b5b73283c55c5d2e21dce72",
+    "ri.csv": "887165d64c204566f957201584c3fa243bce99fe0ec0f00811474b30622f7344",
+    "rr.csv": "f2c8272b36b92224272043132502e370c789bbba2adbe3a41d6e384a0ea2dfcb",
+    "fit stdout": "b4505300c0e679bea733cddf041ebdced2e861370f434ad72faed29e9e622043",
+}
+
+
+class TestOutputBytes:
+    def test_cli_tables_pinned(self, tmp_path, capsys):
+        got = _cli_table_outputs(tmp_path, capsys)
+        digests = {k: hashlib.sha256(v).hexdigest() for k, v in got.items()}
+        assert digests == CLI_TABLE_SHA256
+
+
+def _old_rows_csv(header, columns) -> str:
+    # the per-row formatter the CSV writers used before they shared one:
+    # each value as its own (numpy) scalar, 17 significant digits
+    lines = [",".join(header)]
+    for k in range(len(columns[0])):
+        lines.append(",".join(f"{c[k]:.17g}" for c in columns))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvWriterBytes:
+    SPECIAL = np.array(
+        [-0.0, 5e-324, 1e300, 0.0, 3.0, -7.0, 1e20, -1e-300, 0.1, 2.0**53]
+    )
+
+    def _table(self, rng, rows, cols):
+        # magnitudes over the whole double range, the special values in the
+        # first column and integral values in every third row
+        shape = (rows, cols)
+        table = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+        table[: self.SPECIAL.size, 0] = self.SPECIAL
+        whole = table[self.SPECIAL.size :: 3]
+        whole[:] = rng.integers(-(10**9), 10**9, whole.shape)
+        return table
+
+    def test_sweep_writer_matches_old_formatter(self, tmp_path, rng):
+        t = self._table(rng, 40, 26)
+        path = tmp_path / "s.csv"
+        blocks = t[:, 2:8], t[:, 8:14], t[:, 14:20], t[:, 20:]
+        write_sweep_csv(str(path), t[:, 0], t[:, 1], *blocks)
+        freq = t[:, 1] / (2.0 * np.pi)
+        columns = [t[:, 0], t[:, 1], freq, *t[:, 2:].T]
+        assert path.read_text() == _old_rows_csv(SWEEP_HEADER, columns)
+
+    @pytest.mark.parametrize("int_times", [False, True])
+    def test_transient_writer_matches_old_formatter(self, tmp_path, rng, int_times):
+        t = self._table(rng, 40, 7)
+        times = np.arange(40) if int_times else t[:, 0]
+        path = tmp_path / "k.csv"
+        write_transient_csv(str(path), times, t[:, 1:])
+        header = ["t_s", "K11", "K22", "K33", "K12", "K13", "K23"]
+        assert path.read_text() == _old_rows_csv(header, [times, *t[:, 1:].T])
+
+    def test_special_values_read_back_exactly(self):
+        text = csv_text(["x", "label"], [[v, "s"] for v in self.SPECIAL.tolist()])
+        lines = text.splitlines()
+        assert text.endswith("\n") and lines[0] == "x,label"
+        back = np.array([float(line.split(",")[0]) for line in lines[1:]])
+        np.testing.assert_array_equal(back, self.SPECIAL)
+        np.testing.assert_array_equal(np.signbit(back), np.signbit(self.SPECIAL))
+        assert {line.split(",")[1] for line in lines[1:]} == {"s"}
+
+
+# (column, text) written into one row of a valid sweep; float() accepts all
+# of these, and the reader passed them on
+BAD_SWEEP_FIELDS = [
+    ("nu", "nan"),
+    ("nu", "NaN"),
+    ("nu", "inf"),
+    ("nu", "1_0"),
+    ("f_Hz", "Infinity"),
+    ("R11", "-inf"),
+    ("I11", "1_0e-6"),
+    ("R22", "\u0661\u0660"),
+    ("ImM33", "\uff11\uff10"),
+]
+
+
+class TestStrictSweepCsv:
+    @pytest.fixture
+    def sweep_path(self, tmp_path):
+        path = tmp_path / "s.csv"
+        argv = ["sphere", "--alpha", "0.01", "--mur", "1.5", "--sigma", "5.96e6",
+                "--fmin", "0", "--fmax", "1e4", "--points", "60", "--out", str(path)]
+        assert main(argv) == 0
+        return path
+
+    @pytest.mark.parametrize(
+        "column, text", BAD_SWEEP_FIELDS, ids=[f"{c}={t}" for c, t in BAD_SWEEP_FIELDS]
+    )
+    def test_bad_field_is_schema_error(self, sweep_path, column, text):
+        lines = sweep_path.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[SWEEP_HEADER.index(column)] = text
+        lines[5] = ",".join(fields)
+        sweep_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError):
+            read_sweep_csv(str(sweep_path))
+        assert main(["fit", "--sweep", str(sweep_path), "--numax", "47.06"]) == 1
+
+    def test_spaces_and_exponent_forms_accepted(self, sweep_path):
+        want = read_sweep_csv(str(sweep_path))
+        lines = sweep_path.read_text().splitlines()
+        # padded, signed, upper-case exponent, 17 significant digits
+        respelled = [
+            ",".join(f" {float(v):+.16E} " for v in line.split(","))
+            for line in lines[1:]
+        ]
+        sweep_path.write_text("\n".join(lines[:1] + respelled) + "\n")
+        got = read_sweep_csv(str(sweep_path))
+        for key in want:
+            np.testing.assert_array_equal(got[key], want[key])

@@ -30,6 +30,7 @@ from mptspec import (
     rotate_model,
     rotate_tensor,
 )
+from mptspec.spectral import is_number
 from conftest import random_model
 
 nus = st.floats(1e-8, 1e8, allow_nan=False)
@@ -476,6 +477,15 @@ class TestModeInvariants:
             tail_bound=np.float64(0.0),
         )
         assert model.modes[0].multiplicity == 2
+
+    def test_int_too_large_for_a_double_rejected(self):
+        # np.isfinite raised a bare TypeError on these
+        assert not is_number(10**400)
+        with pytest.raises(InvalidInputError):
+            Mode(1.0, 10**400, np.ones((1, 3)))
+        with pytest.raises(InvalidInputError):
+            Mode(10**400, 1, np.ones((1, 3)))
+        assert is_number(10**300) and is_number(np.int64(3))
 
 
 def _loop_beta_parts(nu, lam):
