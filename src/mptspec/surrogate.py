@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import DomainError, InvalidInputError
 from .spectral import (
@@ -24,6 +23,7 @@ from .spectral import (
     assemble,
     assemble_dlog,
     commutator_Z,
+    is_number,
     limit_tensors,
     modes_from_eigenvalues,
     rotate_model,
@@ -52,14 +52,23 @@ class SurrogateProblem:
     nu_grid: FrequencyGrid
 
     def __post_init__(self):
-        k = np.asarray(self.k_matrix, dtype=float)
-        t = np.asarray(self.theta0, dtype=float)
+        if not all(is_number(x) and x > 0.0 for x in (self.alpha, self.sigma_star)):
+            raise InvalidInputError("alpha and sigma_star must be positive and finite")
+        # private read-only copies, as Mode keeps, so no caller can change a
+        # checked problem
+        k = np.array(self.k_matrix, dtype=float)
+        t = np.array(self.theta0, dtype=float)
+        k.setflags(write=False)
+        t.setflags(write=False)
         if k.shape != (self.dim, self.dim):
             raise InvalidInputError("K must be dim x dim")
-        if np.abs(k - k.T).max() > 1e-14 * max(np.abs(k).max(), 1.0):
-            raise InvalidInputError("K must be symmetric to 1e-14")
         if t.shape != (self.dim, 3):
             raise InvalidInputError("theta0 must be dim x 3")
+        # numpy.linalg passes NaN and inf on to LAPACK unchecked
+        if not (np.all(np.isfinite(k)) and np.all(np.isfinite(t))):
+            raise InvalidInputError("K and theta0 must be finite")
+        if np.abs(k - k.T).max() > 1e-14 * max(np.abs(k).max(), 1.0):
+            raise InvalidInputError("K must be symmetric to 1e-14")
         object.__setattr__(self, "k_matrix", k)
         object.__setattr__(self, "theta0", t)
 
@@ -109,8 +118,10 @@ def generate(
 def direct_theta1(problem: SurrogateProblem, nu: float) -> np.ndarray:
     """Solve (K - i nu I) theta1_i = i nu theta0_i for the three sources.
 
-    Complex LU with partial pivoting; returns a dim x 3 complex array.  The
-    response vanishes identically at nu = 0.
+    Complex LU with partial pivoting (LAPACK ``gesv`` through
+    ``numpy.linalg``, so that every dense solve in the package runs on one
+    BLAS); returns a dim x 3 complex array.  The response vanishes
+    identically at nu = 0.
     """
     if not np.isfinite(nu):
         raise DomainError(f"nu must be finite, got {nu}")
@@ -120,9 +131,12 @@ def direct_theta1(problem: SurrogateProblem, nu: float) -> np.ndarray:
         return np.zeros((problem.dim, 3), dtype=complex)
     a = problem.k_matrix.astype(complex) - 1j * nu * np.eye(problem.dim)
     rhs = 1j * nu * problem.theta0.astype(complex)
-    theta1 = lu_solve(lu_factor(a), rhs)
+    try:
+        theta1 = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(f"K - i nu I is singular at nu = {nu:g}") from exc
     resid = np.linalg.norm(a @ theta1 - rhs)
-    if resid > 1e-12 * max(np.linalg.norm(rhs), 1e-300):
+    if not resid <= 1e-12 * max(np.linalg.norm(rhs), 1e-300):
         raise DomainError(f"direct solve residual {resid:g} exceeds tolerance")
     return theta1
 
@@ -285,8 +299,8 @@ def verify_identities(
     after extraction, which must break the model-vs-direct identities while
     the direct-solve-only ones stay green (fault localisation).
     """
-    if tol <= 0.0:
-        raise InvalidInputError("tol must be positive")
+    if not (is_number(tol) and tol > 0.0):
+        raise InvalidInputError(f"tol must be positive and finite, got {tol!r}")
     if nu_grid is None:
         nus = problem.nu_grid.values
     elif isinstance(nu_grid, FrequencyGrid):

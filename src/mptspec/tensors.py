@@ -216,6 +216,8 @@ def dipole_green_hessian(x, z) -> SymTensor3:
     z = np.asarray(z, dtype=float)
     if x.shape != (3,) or z.shape != (3,):
         raise InvalidInputError("points must be 3-vectors")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
+        raise InvalidInputError("points must be finite")
     r = x - z
     dist = np.linalg.norm(r)
     if dist == 0.0:
@@ -236,6 +238,8 @@ def perturbed_field(x, z, m: ComplexSymTensor3, h0_at_z) -> np.ndarray:
     h0 = np.asarray(h0_at_z, dtype=float)
     if h0.shape != (3,):
         raise InvalidInputError("background field must be a real 3-vector")
+    if not np.all(np.isfinite(h0)):
+        raise InvalidInputError("background field must be finite")
     d2g = dipole_green_hessian(x, z).matrix
     return d2g @ (m.matrix @ h0)
 

@@ -206,6 +206,31 @@ class TestStrictArguments:
         assert not out.exists()
 
 
+class TestStrictLibraryArguments:
+    # values only the library checks; they fail as MptError, so exit 1
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_oracle_bad_tol_is_one(self, tol, capsys):
+        assert main(["oracle", "--dim", "3", "--seed", "1", f"--tol={tol}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: tol must be positive and finite")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("option", ["--x", "--z", "--h0"])
+    def test_field_non_finite_vector_is_one(self, option, value, sphere_model_path, capsys):
+        vectors = {"--x": ["0.5", "0", "0"], "--z": ["0", "0", "0"], "--h0": ["0", "0", "1"]}
+        vectors[option][2] = value
+        argv = ["field", "--model", sphere_model_path, "--f", "1e3"]
+        for name, vec in vectors.items():
+            argv += [name, *vec]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "must be finite" in err
+
+
 class TestTransientCli:
     def test_step_long_time_rows_reach_n0(self, tmp_path, sphere_model_path):
         model = load_model(sphere_model_path)

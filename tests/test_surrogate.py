@@ -1,7 +1,11 @@
 """Surrogate problem generation, direct solves and the identity battery."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from mptspec import (
     DomainError,
@@ -50,6 +54,72 @@ class TestGenerate:
         ).max()
 
 
+def _problem(k, theta0, alpha=1.0, sigma_star=1.0) -> SurrogateProblem:
+    return SurrogateProblem(
+        dim=len(k),
+        k_matrix=k,
+        theta0=theta0,
+        alpha=alpha,
+        sigma_star=sigma_star,
+        nu_grid=FrequencyGrid(np.array([1.0, 2.0]), "nu"),
+    )
+
+
+NAN_K = np.array([[1.0, np.nan], [np.nan, 2.0]])
+INF_K = np.diag([1.0, np.inf])
+NAN_THETA0 = np.array([[1.0, 0.0, 0.0], [0.0, np.nan, 0.0]])
+INF_THETA0 = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -np.inf]])
+GOOD_THETA0 = np.eye(2, 3)
+
+
+class TestSurrogateProblem:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "k, theta0, alpha, sigma_star",
+        [
+            (NAN_K, GOOD_THETA0, 1.0, 1.0),
+            (INF_K, GOOD_THETA0, 1.0, 1.0),
+            (np.eye(2), NAN_THETA0, 1.0, 1.0),
+            (np.eye(2), INF_THETA0, 1.0, 1.0),
+            (np.eye(2), GOOD_THETA0, np.nan, 1.0),
+            (np.eye(2), GOOD_THETA0, np.inf, 1.0),
+            (np.eye(2), GOOD_THETA0, 0.0, 1.0),
+            (np.eye(2), GOOD_THETA0, -1.0, 1.0),
+            (np.eye(2), GOOD_THETA0, 1.0, np.nan),
+            (np.eye(2), GOOD_THETA0, 1.0, np.inf),
+            (np.eye(2), GOOD_THETA0, 1.0, 0.0),
+            (np.eye(2), GOOD_THETA0, 1.0, -5.0),
+        ],
+        ids=[
+            "nan-K", "inf-K", "nan-theta0", "inf-theta0",
+            "nan-alpha", "inf-alpha", "zero-alpha", "negative-alpha",
+            "nan-sigma", "inf-sigma", "zero-sigma", "negative-sigma",
+        ],
+    )
+    def test_rejects_non_finite_or_non_positive(self, k, theta0, alpha, sigma_star):
+        with pytest.raises(InvalidInputError):
+            _problem(k, theta0, alpha, sigma_star)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("field", ["alpha", "sigma_star"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_generate_rejects_bad_scalars(self, field, value):
+        with pytest.raises(InvalidInputError):
+            generate(4, 0, **{field: value})
+
+    def test_holds_private_read_only_copies(self):
+        k = np.diag([1.0, 2.0])
+        theta0 = GOOD_THETA0.copy()
+        p = _problem(k, theta0)
+        assert p.k_matrix is not k and p.theta0 is not theta0
+        k[0, 0] = 99.0
+        theta0[0, 0] = 99.0
+        assert p.k_matrix[0, 0] == 1.0 and p.theta0[0, 0] == 1.0
+        for arr in (p.k_matrix, p.theta0):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 5.0
+
+
 class TestDirectTheta1:
     def test_zero_frequency_vanishes(self):
         p = generate(6, seed=1)
@@ -82,6 +152,31 @@ class TestDirectTheta1:
                 direct, series, atol=1e-10 * np.linalg.norm(direct)
             )
 
+    @pytest.mark.parametrize("dim", [2, 3, 13, 34, 100])
+    @pytest.mark.parametrize("shape", ["linear", "quadratic", "clustered"])
+    def test_matches_scipy_lu_reference(self, dim, shape):
+        # the earlier implementation, kept here as an independent reference
+        p = generate(dim, seed=dim, spectrum_shape=shape)
+        for nu in p.nu_grid.values:
+            a = p.k_matrix.astype(complex) - 1j * nu * np.eye(dim)
+            ref = lu_solve(lu_factor(a), 1j * nu * p.theta0.astype(complex))
+            got = direct_theta1(p, nu)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "k, nu",
+        [
+            # subnormal nu: the solve returns NaN, so the residual is NaN
+            (np.zeros((2, 2)), 5e-324),
+            # rank-one K dwarfs nu: LAPACK meets an exactly zero pivot
+            (1e110 * np.outer([1.0, -1.0, 2.0], [1.0, -1.0, 2.0]), 1e-250),
+        ],
+        ids=["nan-residual", "singular"],
+    )
+    def test_failed_solve_is_domain_error(self, k, nu):
+        with pytest.raises(DomainError):
+            direct_theta1(_problem(k, np.ones((len(k), 3))), nu)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("nu", [np.nan, np.inf, -np.inf])
@@ -190,3 +285,36 @@ class TestVerifyIdentities:
         assert len(doc["checks"]) == len(report.checks)
         text = report.format_text()
         assert "result: PASS" in text
+
+
+def _imports_scipy_linalg(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(
+            a.name == "scipy.linalg" or a.name.startswith("scipy.linalg.")
+            for a in node.names
+        )
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        module = node.module or ""
+        return (
+            module == "scipy.linalg"
+            or module.startswith("scipy.linalg.")
+            or (module == "scipy" and any(a.name == "linalg" for a in node.names))
+        )
+    return False
+
+
+def test_no_module_imports_scipy_linalg():
+    # scipy ships its own OpenBLAS, apart from numpy's.  Dense linear algebra
+    # split between the two makes every call switch thread pools, and each
+    # pool's threads spin while the other one runs: on two cores that halved
+    # the oracle battery's throughput.  So src/ uses numpy.linalg only.
+    src = Path(__file__).resolve().parents[1] / "src" / "mptspec"
+    modules = sorted(src.glob("*.py"))
+    assert modules
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _imports_scipy_linalg(node)
+    ]
+    assert offenders == []

@@ -177,6 +177,16 @@ class TestPerturbedField:
         )
         np.testing.assert_array_equal(out, np.zeros(3))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("arg", ["x", "z", "h0"])
+    def test_non_finite_input_rejected(self, arg, value):
+        vectors = {"x": [0.5, 0.0, 0.0], "z": [0.0, 0.0, 0.0], "h0": [0.0, 0.0, 1.0]}
+        vectors[arg][1] = value
+        m = ComplexSymTensor3(SymTensor3.isotropic(1.0), SymTensor3.zero())
+        with pytest.raises(InvalidInputError):
+            perturbed_field(vectors["x"], vectors["z"], m, vectors["h0"])
+
     def test_scalar_tensor_axial(self):
         r, m_val, h = 0.25, 3.0e-6, 7.0
         m = ComplexSymTensor3(SymTensor3.isotropic(m_val), SymTensor3.zero())
