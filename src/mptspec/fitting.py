@@ -15,11 +15,11 @@ The amplitude enters linearly, so for a given rate it has a closed-form
 optimum and the residual left after it depends on the rate alone (variable
 projection: Golub & Pereyra, SIAM J. Numer. Anal. 10(2), 1973; Kaufman,
 BIT 15, 1975); its local minima are the rates of the local minima of the
-full problem.  It is sampled on a log grid of rates, and a damped
-Gauss-Newton iteration with the analytic Jacobian refines the two lowest of
-its local minima over that grid.  Only when the better run does not
-converge does the iteration also run from every start of a decade grid.
-The lowest residual wins.
+full problem.  The fit is therefore a search over the rate alone: the
+projected residual is screened on a log grid, and its two lowest local
+minima there are refined by a bounded Brent search (Brent, Algorithms for
+Minimization without Derivatives, 1973, ch. 5) and a secant step on its
+slope or, at the grid's edge, followed outward.  The lowest residual wins.
 """
 
 from __future__ import annotations
@@ -27,17 +27,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .errors import InvalidInputError, NoFitError
 from .spectral import SpectralModel, assemble
 from .tensors import PACKED_LABELS
 
-_DAMPING_START = 1e-3
-_DAMPING_UP = 10.0
-_DAMPING_DOWN = 10.0
-_STEP_TOL = 1e-10
-_MAX_ITER = 200
 _SCREEN_PER_DECADE = 4  # screening grid points per decade of rate
+_SCREEN_MARGIN = 3  # decades the screening grid reaches past the sampled nu
+_BRACKET = np.log(10.0) / _SCREEN_PER_DECADE  # one grid step in log-rate
+_LOG_RATE_TOL = 1e-12  # Brent's absolute tolerance on log-rate
+_SECANT_STEP = 1e-7  # half-width in log-rate of the final secant step
+_EDGE_DROP = 1e-14  # an edge walk stops once a decade gains less than this x |v|^2
 
 COEFF_LABELS = PACKED_LABELS
 
@@ -67,12 +68,14 @@ class FitResult:
     """Fitted (amplitude, rate) pair with residual diagnostics.
 
     ``amp``/``rate`` are (a, b) for kind "R" and (c, d) for kind "I"; the
-    rate is normalised positive.  ``residual_curve`` follows the plotting
-    convention -|data - fit| for R and +|data - fit| for I; it is read-only,
-    since report rows with identical data share one result.  ``start_rate``
-    is the start rate the winning run was refined from, and ``stop`` why that
-    run ended: "step_tol" (converged), "damping" (the damping blew up),
-    "max_iter" (iteration cap) or "singular" (singular normal equations).
+    rate is positive.  ``residual_curve`` follows the plotting convention
+    -|data - fit| for R and +|data - fit| for I; it is read-only, since
+    report rows with identical data share one result.  ``start_rate`` is the
+    grid rate of the screened minimum the winning run started from,
+    ``iterations`` the run's evaluations of the projected residual, and
+    ``stop`` why it ended: "step_tol" (an interior minimum; converged) or
+    "asymptotic" (the residual still fell past the grid's edge, towards an
+    unbounded or vanishing rate; not converged).
     """
 
     kind: str
@@ -84,19 +87,6 @@ class FitResult:
     iterations: int
     start_rate: float | None = None
     stop: str | None = None
-
-
-def _model_and_jacobian(kind: str, nu: np.ndarray, amp: float, rate: float):
-    denom = nu**2 + rate**2
-    if kind == "R":
-        f = -amp * rate * nu**2 / denom
-        d_amp = -rate * nu**2 / denom
-        d_rate = -amp * nu**2 * (nu**2 - rate**2) / denom**2
-    else:
-        f = amp * rate * nu / denom
-        d_amp = rate * nu / denom
-        d_rate = amp * nu * (nu**2 - rate**2) / denom**2
-    return f, np.column_stack([d_amp, d_rate])
 
 
 def _unit_shape(kind: str, nu: np.ndarray, rate):
@@ -112,128 +102,97 @@ def _best_amp(kind: str, nu: np.ndarray, values: np.ndarray, rate: float) -> flo
     return float(g @ values) / gg if gg > 0.0 else 0.0
 
 
-def _projected_sse(
-    kind: str, nu: np.ndarray, values: np.ndarray, rates: np.ndarray
-) -> np.ndarray:
-    """Residual sum of squares left by the closed-form amplitude, per rate.
+def _projected(kind: str, nu: np.ndarray, values: np.ndarray, rates: np.ndarray):
+    """Per rate, the residual sum of squares left by the closed-form amplitude
+    and its slope in log(rate).
 
-    Formed from the residual itself, not as |v|^2 - (g.v)^2/(g.g), which
-    cancels when the shape fits the data closely.
+    Formed from the residual itself: |v|^2 - (g.v)^2/(g.g) cancels when the
+    shape fits closely.  The amplitude is optimal, so the slope is
+    2 amp resid . g (nu^2 - rate^2)/(nu^2 + rate^2), the shape's own change.
     """
-    g = _unit_shape(kind, nu[:, None], rates)
+    nu = nu[:, None]
+    g = _unit_shape(kind, nu, rates)
     gg = np.einsum("ps,ps->s", g, g)
     amp = np.divide(values @ g, gg, out=np.zeros_like(gg), where=gg > 0.0)
     resid = g * amp - values[:, None]
-    return np.einsum("ps,ps->s", resid, resid)
-
-
-def _gauss_newton(kind, nu, values, amp0, rate0):
-    """Damped Gauss-Newton from (amp0, rate0).
-
-    Returns (params, sse, stop, iterations) with ``stop`` one of "step_tol",
-    "damping", "max_iter" or "singular" (see :class:`FitResult`).
-    """
-    params = np.array([amp0, rate0])
-    f, jac = _model_and_jacobian(kind, nu, *params)
-    resid = f - values
-    sse = float(resid @ resid)
-    damping = _DAMPING_START
-    stop = "max_iter"
-    iterations = 0
-    for iterations in range(1, _MAX_ITER + 1):
-        jtj = jac.T @ jac
-        rhs = -jac.T @ resid
-        try:
-            step = np.linalg.solve(jtj + damping * np.diag(np.diag(jtj)), rhs)
-        except np.linalg.LinAlgError:
-            stop = "singular"
-            break
-        trial = params + step
-        f_t, jac_t = _model_and_jacobian(kind, nu, *trial)
-        resid_t = f_t - values
-        sse_t = float(resid_t @ resid_t)
-        if sse_t <= sse:
-            rel_step = np.abs(step).max() / max(np.abs(trial).max(), 1e-300)
-            params, f, jac, resid, sse = trial, f_t, jac_t, resid_t, sse_t
-            damping /= _DAMPING_DOWN
-            if rel_step < _STEP_TOL:
-                stop = "step_tol"
-                break
-        else:
-            damping *= _DAMPING_UP
-            if damping > 1e12:
-                stop = "damping"
-                break
-    return params, sse, stop, iterations
+    dg = g * (nu**2 - rates**2) / (nu**2 + rates**2)
+    sse = np.einsum("ps,ps->s", resid, resid)
+    return sse, 2.0 * amp * np.einsum("ps,ps->s", resid, dg)
 
 
 def fit_dominant(data: SweepData, kind: str) -> FitResult:
     """Fit the single-mode shape to one coefficient's sweep.
 
-    The start rates are the decades spanning the positive nu range plus the
-    location of the largest |value|.  With the amplitude solved in closed
-    form, the residual is sampled at the starts and at four rates per decade
-    between them.  Its local minima over that grid mark distinct basins, and
-    the joint Gauss-Newton refinement runs from the two lowest of them.
-    When the better of those runs does not converge, it also runs from
-    every start.  The lowest residual wins.  Degenerate all-zero data
-    raises; exhausted non-convergence returns the best-effort parameters
-    flagged ``converged=False``.
+    The data are divided by their largest |value|, so their scale does not
+    matter.  The projected residual is screened at four rates per decade,
+    from three decades below the positive nu range to three above.  Of its
+    two lowest local minima there, an interior one is searched between its
+    grid neighbours; one at the edge is followed outward a decade at a time
+    while the residual falls by more than 1e-14 of |v|^2.  The lower
+    residual wins.  Degenerate all-zero data raises.
     """
     if kind not in ("R", "I"):
         raise InvalidInputError(f"fit kind must be 'R' or 'I', got {kind!r}")
     nu, values = data.nu, data.values
     if nu.size < 4:
         raise NoFitError("need at least 4 data points")
-    if np.abs(values).max() == 0.0:
+    scale = np.abs(values).max()
+    if scale == 0.0:
         raise NoFitError("all sweep values are zero")
+    v = values / scale
 
     positive = nu[nu > 0.0]
-    lo, hi = np.floor(np.log10(positive.min())), np.ceil(np.log10(positive.max()))
-    starts = 10.0 ** np.arange(lo, hi + 1)
-    peak_nu = float(nu[np.argmax(np.abs(values))])
-    if peak_nu > 0.0:
-        starts = np.unique(np.append(starts, peak_nu))
-
-    # screening: the projected residual on a finer log grid through the
-    # starts, in ascending rate.  Its local minima mark distinct basins;
-    # refine from the two lowest.
-    exps = np.arange(lo * _SCREEN_PER_DECADE, hi * _SCREEN_PER_DECADE + 1)
-    rates = np.unique(np.append(10.0 ** (exps / _SCREEN_PER_DECADE), starts))
-    projected = _projected_sse(kind, nu, values, rates)
+    lo = np.floor(np.log10(positive.min())) - _SCREEN_MARGIN
+    hi = np.ceil(np.log10(positive.max())) + _SCREEN_MARGIN
+    rates = np.logspace(lo, hi, int(hi - lo) * _SCREEN_PER_DECADE + 1)
+    projected, _ = _projected(kind, nu, v, rates)
     minima = np.flatnonzero(
         (projected < np.append(np.inf, projected[:-1]))
         & (projected <= np.append(projected[1:], np.inf))
     )
-    screened = rates[minima[np.argsort(projected[minima], kind="stable")][:2]]
 
-    def refine(rate0):
-        amp0 = _best_amp(kind, nu, values, rate0)
-        return (rate0,) + _gauss_newton(kind, nu, values, amp0, rate0)
+    def refine(k):
+        # (sse, rate, evaluations, stop, start rate) of the run from minimum k
+        centre = rates[k]
+        if 0 < k < rates.size - 1:
+            # Brent over x = log(rate / centre) places the minimum only to
+            # about sqrt(eps), where the residual is flat to rounding; a
+            # secant step on its slope, which crosses zero there steeply,
+            # places it to rounding
+            run = minimize_scalar(
+                lambda x: _projected(kind, nu, v, centre * np.exp([x]))[0][0],
+                bounds=(-_BRACKET, _BRACKET), method="bounded",
+                options={"xatol": _LOG_RATE_TOL},
+            )
+            x, h = run.x, _SECANT_STEP
+            _, (s_lo, s_hi) = _projected(kind, nu, v, centre * np.exp([x - h, x + h]))
+            if s_lo < 0.0 < s_hi:
+                x -= h * (s_lo + s_hi) / (s_hi - s_lo)
+            sse = _projected(kind, nu, v, centre * np.exp([x]))[0][0]
+            return sse, centre * np.exp(x), run.nfev + 3, "step_tol", centre
+        # at the grid's edge: follow the minimum outward a decade at a time
+        step, rate, sse, evaluations = (10.0 if k else 0.1), centre, projected[k], 0
+        while True:
+            trial = _projected(kind, nu, v, np.array([rate * step]))[0][0]
+            evaluations += 1
+            if not trial < sse - _EDGE_DROP * (v @ v):
+                return sse, rate, evaluations, "asymptotic", centre
+            rate, sse = rate * step, trial
 
-    runs = [refine(rate0) for rate0 in screened]
-    best = min(runs, key=lambda run: run[2])
-    if best[3] != "step_tol":
-        # fallback: the full multi-start over every remaining start
-        runs += [refine(rate0) for rate0 in starts if rate0 not in screened]
-        best = min(runs, key=lambda run: run[2])
-    start_rate, params, sse, stop, iterations = best
-    amp, rate = params
-    if rate < 0.0:
-        # f(a,b) = f(-a,-b): normalise the rate positive
-        amp, rate = -amp, -rate
-    fitted, _ = _model_and_jacobian(kind, nu, amp, rate)
-    abs_resid = np.abs(values - fitted)
+    screened = minima[np.argsort(projected[minima], kind="stable")][:2]
+    sse, rate, evaluations, stop, start_rate = min(map(refine, screened))
+    amp = _best_amp(kind, nu, v, rate)
+    abs_resid = np.abs(v - amp * _unit_shape(kind, nu, rate)) * scale
     residual_curve = -abs_resid if kind == "R" else abs_resid
     residual_curve.setflags(write=False)
     return FitResult(
         kind=kind,
-        amp=float(amp),
+        amp=float(amp * scale),
         rate=float(rate),
-        rms=float(np.sqrt(sse / nu.size)),
+        rms=float(np.sqrt(sse / nu.size) * scale),
         residual_curve=residual_curve,
         converged=stop == "step_tol",
-        iterations=iterations,
+        iterations=evaluations,
         start_rate=float(start_rate),
         stop=stop,
     )

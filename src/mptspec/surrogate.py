@@ -135,9 +135,12 @@ def direct_theta1(problem: SurrogateProblem, nu: float) -> np.ndarray:
         theta1 = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise DomainError(f"K - i nu I is singular at nu = {nu:g}") from exc
-    resid = np.linalg.norm(a @ theta1 - rhs)
-    if not resid <= 1e-12 * max(np.linalg.norm(rhs), 1e-300):
-        raise DomainError(f"direct solve residual {resid:g} exceeds tolerance")
+    # both norms on one real scale: their squares overflow from about 1e154
+    resid, size = np.abs(a @ theta1 - rhs), np.abs(rhs)
+    scale = max(resid.max(), size.max(), 1e-300)
+    resid, size = np.linalg.norm(resid / scale), np.linalg.norm(size / scale)
+    if not resid <= 1e-12 * max(size, 1e-300 / scale):
+        raise DomainError(f"direct solve residual exceeds tolerance at nu = {nu:g}")
     return theta1
 
 

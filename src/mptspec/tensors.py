@@ -8,6 +8,7 @@ polarizability tensors carry m^3, field quantities A/m.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,7 +211,9 @@ def dipole_green_hessian(x, z) -> SymTensor3:
     """Hessian of the free-space Laplace Green's function 1/(4 pi |x-z|).
 
     Returns (1 / (4 pi r^3)) (3 rhat x rhat - I) in units 1/m^3; symmetric
-    and trace-free for every x != z.
+    and trace-free for every x != z.  Far enough away it underflows to zero;
+    a point so near that its entries would overflow raises
+    :class:`SingularityError`.
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -219,11 +222,17 @@ def dipole_green_hessian(x, z) -> SymTensor3:
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
         raise InvalidInputError("points must be finite")
     r = x - z
-    dist = np.linalg.norm(r)
+    dist = math.hypot(*r)  # no squares to overflow or underflow
     if dist == 0.0:
         raise SingularityError("Green's function Hessian is singular at x == z")
+    # one factor of dist at a time: a far point underflows to a zero Hessian
+    scale = 1.0 / (4.0 * np.pi) / dist / dist / dist
+    if not math.isfinite(3.0 * scale):
+        raise SingularityError(
+            f"Green's function Hessian overflows at |x - z| = {dist:g}"
+        )
     rhat = r / dist
-    m = (3.0 * np.outer(rhat, rhat) - np.eye(3)) / (4.0 * np.pi * dist**3)
+    m = (3.0 * np.outer(rhat, rhat) - np.eye(3)) * scale
     return SymTensor3.from_matrix(m, asym_tol=1e-9)
 
 

@@ -231,6 +231,26 @@ class TestStrictLibraryArguments:
         assert err.startswith("error: ") and "must be finite" in err
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_field_overflowing_near_point_is_one(self, sphere_model_path, capsys):
+        argv = ["field", "--model", sphere_model_path, "--x", "1e-110", "0", "0",
+                "--z", "0", "0", "0", "--h0", "0", "0", "1", "--f", "1e3"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "|x - z| = 1e-110" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_field_far_point_is_finite(self, sphere_model_path, capsys):
+        argv = ["field", "--model", sphere_model_path, "--x", "1e110", "0", "0",
+                "--z", "0", "0", "0", "--h0", "0", "0", "1", "--f", "1e3"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        for key in ("field_re_A_per_m", "field_im_A_per_m"):
+            assert len(payload[key]) == 3 and np.all(np.isfinite(payload[key]))
+
+
 class TestTransientCli:
     def test_step_long_time_rows_reach_n0(self, tmp_path, sphere_model_path):
         model = load_model(sphere_model_path)
@@ -364,6 +384,40 @@ class TestFitResiduals:
         assert np.all(cols[:, 2] >= 0.0)
 
 
+class TestFitScale:
+    @pytest.mark.filterwarnings("error")
+    def test_scaled_sweeps_give_unscaled_rates(self, tmp_path):
+        # unnormalised, every projected residual of the 1e200 sweep
+        # overflows and those of the 1e-200 sweep sink to the noise floor
+        sweep_path = tmp_path / "s.csv"
+        assert main(
+            [
+                "sphere", "--alpha", "0.01", "--mur", "1.5", "--sigma", "5.96e6",
+                "--fmin", "0", "--fmax", "1e4", "--points", "60",
+                "--out", str(sweep_path),
+            ]
+        ) == 0
+
+        def fit_rates(path):
+            out = tmp_path / "fit.json"
+            assert main(
+                ["fit", "--sweep", str(path), "--numax", "40", "--json", str(out)]
+            ) == 0
+            entry = json.loads(out.read_text())["fits"][0]
+            assert entry["converged"]
+            return entry["b"], entry["d"]
+
+        base = fit_rates(sweep_path)
+        sweep = read_sweep_csv(str(sweep_path))
+        for factor in (1e200, 1e-200):
+            path = tmp_path / f"s{factor:g}.csv"
+            write_sweep_csv(
+                str(path), sweep["nu"], sweep["omega"], factor * sweep["R"],
+                factor * sweep["I"], sweep["ReM"], sweep["ImM"],
+            )
+            assert fit_rates(path) == pytest.approx(base, rel=1e-12)
+
+
 class TestOracleJson:
     def test_seed_and_shape_recorded(self, tmp_path):
         out = tmp_path / "report.json"
@@ -425,22 +479,25 @@ def _cli_table_outputs(tmp_path, capsys) -> dict:
 
 
 # SHA-256 of every file and of the stdout table written by the commands of
-# _cli_table_outputs, taken before the tables shared one CSV writer
+# _cli_table_outputs, taken before the tables shared one CSV writer; the fit
+# outputs (fit.csv, fit.json, res.csv, fit stdout) retaken when the fit moved
+# to a 1-D search over the rate, which moved its rates by at most 5.5e-12
+# relative
 CLI_TABLE_SHA256 = {
     "m.json": "e0871d10c938f9595418e749b7862768ad7b19af14fc5bad730d8533936e39a9",
     "sphere.csv": "c31955a384c52d9cc99141c553cdccf19d7210f23101ffd3bf8be70e5850e234",
     "log.csv": "682ca04982ccba1f1ca899c8c174ddae5655d6fe8b98c15a939d0b24423d3c03",
     "lin.csv": "c925c86ebf283173c52d4ec7ff8150e32776b15e70da65279dfaeb00ad56afd0",
-    "fit.csv": "b4505300c0e679bea733cddf041ebdced2e861370f434ad72faed29e9e622043",
-    "fit.json": "8eff9352ff749133433cf153082bc53530f7901d5c6384ed40533a2ae56615dc",
-    "res.csv": "832d5959d081bd18e0b7b141af6bd88f20e777871793995bd19ebdf5e0c580e3",
+    "fit.csv": "fc4d211b9b60ddae6ffa419dbfc9a8cee89d42ff635b610b7a47f10775172e40",
+    "fit.json": "e2d13300e55e963618ebd38f7b5bfec30222237a13725f889f377bac7b5b4ad4",
+    "res.csv": "52f1e5089e2eac8c1cb49d96edf9a1dff9d02ab23c3ae1cd7e8f7107889f3701",
     "step.csv": "fa82434b9b9753629e7e99b5d2f58467503190e55f9fecfd03e37a9f59b0f64e",
     "imp.csv": "cbdff570bda661308a616097673696d3ad387dc17086e30ffbb7f48a1e4499e1",
     "imp.json": "410ba3eabab4676147c7b1dfe657c322d048eb5eed02d4faeea87d613a40585d",
     "aniso.json": "98697a68fef20dc35972af5cf38f478fd1fa91236b5b73283c55c5d2e21dce72",
     "ri.csv": "887165d64c204566f957201584c3fa243bce99fe0ec0f00811474b30622f7344",
     "rr.csv": "f2c8272b36b92224272043132502e370c789bbba2adbe3a41d6e384a0ea2dfcb",
-    "fit stdout": "b4505300c0e679bea733cddf041ebdced2e861370f434ad72faed29e9e622043",
+    "fit stdout": "fc4d211b9b60ddae6ffa419dbfc9a8cee89d42ff635b610b7a47f10775172e40",
 }
 
 

@@ -41,28 +41,90 @@ def decade_starts(nu, values):
     return starts
 
 
+_DAMPING_START = 1e-3
+_DAMPING_UP = 10.0
+_DAMPING_DOWN = 10.0
+_STEP_TOL = 1e-10
+_MAX_ITER = 200
+
+
+def _model_and_jacobian(kind, nu, amp, rate):
+    denom = nu**2 + rate**2
+    if kind == "R":
+        f = -amp * rate * nu**2 / denom
+        d_amp = -rate * nu**2 / denom
+        d_rate = -amp * nu**2 * (nu**2 - rate**2) / denom**2
+    else:
+        f = amp * rate * nu / denom
+        d_amp = rate * nu / denom
+        d_rate = amp * nu * (nu**2 - rate**2) / denom**2
+    return f, np.column_stack([d_amp, d_rate])
+
+
+def _gauss_newton(kind, nu, values, amp0, rate0):
+    """Damped Gauss-Newton in (amp, rate) from (amp0, rate0).
+
+    A joint two-parameter refinement with the analytic Jacobian: a reference
+    independent of the library's search over the rate alone.  Returns
+    (params, sse, stop, iterations) with ``stop`` one of "step_tol",
+    "damping", "max_iter" or "singular".
+    """
+    params = np.array([amp0, rate0])
+    f, jac = _model_and_jacobian(kind, nu, *params)
+    resid = f - values
+    sse = float(resid @ resid)
+    damping = _DAMPING_START
+    stop = "max_iter"
+    iterations = 0
+    for iterations in range(1, _MAX_ITER + 1):
+        jtj = jac.T @ jac
+        rhs = -jac.T @ resid
+        try:
+            step = np.linalg.solve(jtj + damping * np.diag(np.diag(jtj)), rhs)
+        except np.linalg.LinAlgError:
+            stop = "singular"
+            break
+        trial = params + step
+        f_t, jac_t = _model_and_jacobian(kind, nu, *trial)
+        resid_t = f_t - values
+        sse_t = float(resid_t @ resid_t)
+        if sse_t <= sse:
+            rel_step = np.abs(step).max() / max(np.abs(trial).max(), 1e-300)
+            params, f, jac, resid, sse = trial, f_t, jac_t, resid_t, sse_t
+            damping /= _DAMPING_DOWN
+            if rel_step < _STEP_TOL:
+                stop = "step_tol"
+                break
+        else:
+            damping *= _DAMPING_UP
+            if damping > 1e12:
+                stop = "damping"
+                break
+    return params, sse, stop, iterations
+
+
 def full_multistart_sse(kind, nu, values):
     """Reference: Gauss-Newton to the end from every start; the lowest SSE."""
     best = None
     for rate0 in decade_starts(nu, values):
         amp0 = fitting._best_amp(kind, nu, values, rate0)
-        _, sse, _, _ = fitting._gauss_newton(kind, nu, values, amp0, rate0)
+        _, sse, _, _ = _gauss_newton(kind, nu, values, amp0, rate0)
         if best is None or sse < best:
             best = sse
     return best
 
 
-def record_starts(monkeypatch):
-    """Patch the Gauss-Newton refinement to record the start rate of each run."""
-    rates = []
-    refine = fitting._gauss_newton
+def record_brackets(monkeypatch):
+    """Patch the bounded 1-D search to record each call's bounds."""
+    brackets = []
+    search = fitting.minimize_scalar
 
-    def recorded(kind, nu, values, amp0, rate0):
-        rates.append(rate0)
-        return refine(kind, nu, values, amp0, rate0)
+    def recorded(fun, **kwargs):
+        brackets.append(kwargs["bounds"])
+        return search(fun, **kwargs)
 
-    monkeypatch.setattr(fitting, "_gauss_newton", recorded)
-    return rates
+    monkeypatch.setattr(fitting, "minimize_scalar", recorded)
+    return brackets
 
 
 def count_fits(monkeypatch):
@@ -126,9 +188,12 @@ class TestFitDominant:
         nu = default_fit_grid(80.0, points=100)
         vals = f_i(nu, 1.7, 9.0) + 0.01 * f_i(nu, 0.5, 40.0)
         base = fit_dominant(SweepData(nu, vals), "I")
-        scaled = fit_dominant(SweepData(nu, 10.0 * vals), "I")
-        assert scaled.amp == pytest.approx(10.0 * base.amp, rel=1e-8)
-        assert scaled.rate == pytest.approx(base.rate, rel=1e-8)
+        # at 1e+-200 and 1e+-300 the projected residuals of unscaled data
+        # overflow or fall to the noise floor
+        for factor in (10.0, 1e200, 1e-200, 1e300, 1e-300):
+            scaled = fit_dominant(SweepData(nu, factor * vals), "I")
+            assert scaled.amp == pytest.approx(factor * base.amp, rel=1e-8)
+            assert scaled.rate == pytest.approx(base.rate, rel=1e-8)
 
     def test_frequency_scale_equivariance(self):
         nu = default_fit_grid(80.0, points=100)
@@ -140,15 +205,13 @@ class TestFitDominant:
         assert stretched.amp == pytest.approx(base.amp, rel=1e-8)
 
     def test_residual_never_worse_than_any_start(self):
-        from mptspec.fitting import _best_amp, _gauss_newton
-
         rng = np.random.default_rng(0)
         nu = default_fit_grid(100.0, points=80)
         vals = f_i(nu, 2.0, 12.0) + 0.05 * rng.standard_normal(nu.size)
         fit = fit_dominant(SweepData(nu, vals), "I")
         starts = [0.1, 1.0, 10.0, 100.0, float(nu[np.argmax(np.abs(vals))])]
         for rate0 in starts:
-            amp0 = _best_amp("I", nu, vals, rate0)
+            amp0 = fitting._best_amp("I", nu, vals, rate0)
             _, sse, _, _ = _gauss_newton("I", nu, vals, amp0, rate0)
             assert fit.rms**2 * nu.size <= sse * (1.0 + 1e-12)
 
@@ -220,27 +283,33 @@ class TestFitDominant:
         assert fit.rate > 1.0
 
     def test_refines_at_most_two_starts_when_converged(self, monkeypatch):
-        rates = record_starts(monkeypatch)
+        brackets = record_brackets(monkeypatch)
         nu = default_fit_grid(100.0, points=80)
         vals = f_i(nu, 2.0, 12.0) + 0.01 * f_i(nu, 1.0, 70.0)
         fit = fit_dominant(SweepData(nu, vals), "I")
         assert fit.converged and fit.stop == "step_tol"
-        assert 1 <= len(rates) <= 2
-        assert fit.start_rate in rates
+        assert 1 <= len(brackets) <= 2
+        # the search runs in log(rate / start_rate) between grid neighbours
+        lo, hi = brackets[0]
+        assert lo < np.log(fit.rate / fit.start_rate) < hi
 
-    def test_fallback_refines_every_start(self, monkeypatch):
-        # two iterations cannot converge, so the screened runs both stop at
-        # the cap and the fit falls back to every decade start
-        monkeypatch.setattr(fitting, "_MAX_ITER", 2)
-        rates = record_starts(monkeypatch)
+    @pytest.mark.parametrize(
+        "kind, power", [("I", 1), ("R", 2)], ids=["I-nu", "R-nu2"]
+    )
+    def test_asymptotic_edge(self, monkeypatch, kind, power):
+        # I ~ nu and R ~ nu^2 are the shapes' limits as the rate grows
+        # without bound: the projected residual falls all the way to the top
+        # of the screening grid, and the fit follows it outward and stops
+        brackets = record_brackets(monkeypatch)
         nu = default_fit_grid(100.0, points=80)
-        vals = f_i(nu, 2.0, 12.0) + 0.01 * f_i(nu, 1.0, 70.0)
-        fit = fit_dominant(SweepData(nu, vals), "I")
-        assert not fit.converged and fit.stop == "max_iter"
-        assert fit.iterations == 2
-        assert set(decade_starts(nu, vals)) <= set(rates)
-        assert len(rates) == len(set(rates))
-        assert fit.start_rate in rates
+        vals = -(nu**power) if kind == "R" else nu**power
+        fit = fit_dominant(SweepData(nu, vals), kind)
+        assert fit.stop == "asymptotic" and not fit.converged
+        assert brackets == []
+        assert fit.rate >= 1e3 * nu.max()
+        assert fit.rms**2 * nu.size <= full_multistart_sse(kind, nu, vals) * (
+            1.0 + 1e-12
+        ) + 1e-12 * float(vals @ vals)
 
     def test_degenerate_data(self):
         nu = default_fit_grid(10.0, points=50)

@@ -179,6 +179,15 @@ class TestDirectTheta1:
             direct_theta1(_problem(k, np.ones((len(k), 3))), nu)
 
     @pytest.mark.filterwarnings("error")
+    def test_huge_frequency_residual_does_not_overflow(self):
+        # |K theta1| and nu |theta0| near 1e300: their squares overflowed
+        # the residual norm before it was taken on scaled operands
+        theta0 = np.ones((2, 3))
+        got = direct_theta1(_problem(np.ones((2, 2)), theta0), 1e300)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, -theta0, rtol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("nu", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
         "solve", [direct_theta1, energy_tensors_direct, energy_tensors_alt]

@@ -169,6 +169,18 @@ class TestDipoleGreenHessian:
         with pytest.raises(SingularityError):
             dipole_green_hessian([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("offset", [[1e110, 0.0, 0.0], [1e200, -1e200, 3e199]])
+    def test_far_point_underflows_to_zero(self, offset):
+        out = dipole_green_hessian(offset, [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(out.coeffs, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("offset", [[1e-110, 0.0, 0.0], [1e-200, 1e-200, 0.0]])
+    def test_overflowing_near_point_is_singular(self, offset):
+        with pytest.raises(SingularityError, match=r"\|x - z\| = "):
+            dipole_green_hessian(offset, [0.0, 0.0, 0.0])
+
 
 class TestPerturbedField:
     def test_zero_tensor_zero_field(self):
