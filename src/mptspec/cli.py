@@ -2,12 +2,15 @@
 
 Frequencies are accepted in Hz and converted to the dimensionless nu
 internally.  Exit codes: 0 success, 1 usage/file/schema errors, 2 oracle
-verification failure.
+verification failure.  ``main`` may be called any number of times in one
+process: it builds the argument parser once, on its first call, and reuses
+it, since parsing leaves the parser unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -71,9 +74,10 @@ def _cmd_sphere(args) -> int:
     if args.out:
         freq = _frequency_grid(args.fmin, args.fmax, args.points, args.log)
         omega = 2.0 * np.pi * freq
+        # mpt_sphere refuses an omega whose nu overflows, so m comes first
+        m = np.array([mpt_sphere(spec, w) for w in omega])
         nu = omega * spec.time_constant
         n0 = spec.static_value()
-        m = np.array([mpt_sphere(spec, w) for w in omega])
         zeros = np.zeros((len(nu), 3))
         r_rows = np.hstack([np.tile((m.real - n0)[:, None], (1, 3)), zeros])
         i_rows = np.hstack([np.tile(m.imag[:, None], (1, 3)), zeros])
@@ -140,7 +144,12 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_transient(args) -> int:
-    if not (-math.inf < args.tmin < args.tmax < math.inf and args.points >= 2):
+    # a finite span too, or the grid's step overflows
+    if not (
+        -math.inf < args.tmin < args.tmax < math.inf
+        and args.tmax - args.tmin < math.inf
+        and args.points >= 2
+    ):
         raise _UsageError("need finite tmin < tmax and points >= 2")
     model = modelio.load_model(args.model)
     times = np.linspace(args.tmin, args.tmax, args.points)
@@ -312,10 +321,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+# building the parser costs more than parsing with it, mostly in argparse's
+# help formatters, which each query the terminal size
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -102,22 +102,34 @@ def _best_amp(kind: str, nu: np.ndarray, values: np.ndarray, rate: float) -> flo
     return float(g @ values) / gg if gg > 0.0 else 0.0
 
 
-def _projected(kind: str, nu: np.ndarray, values: np.ndarray, rates: np.ndarray):
-    """Per rate, the residual sum of squares left by the closed-form amplitude
-    and its slope in log(rate).
-
-    Formed from the residual itself: |v|^2 - (g.v)^2/(g.g) cancels when the
-    shape fits closely.  The amplitude is optimal, so the slope is
-    2 amp resid . g (nu^2 - rate^2)/(nu^2 + rate^2), the shape's own change.
-    """
-    nu = nu[:, None]
-    g = _unit_shape(kind, nu, rates)
+def _projected_resid(kind: str, nu: np.ndarray, values: np.ndarray, rates: np.ndarray):
+    # per rate (columns), the shape, its closed-form amplitude and the residual
+    g = _unit_shape(kind, nu[:, None], rates)
     gg = np.einsum("ps,ps->s", g, g)
     amp = np.divide(values @ g, gg, out=np.zeros_like(gg), where=gg > 0.0)
-    resid = g * amp - values[:, None]
+    return g, amp, g * amp - values[:, None]
+
+
+def _projected(kind: str, nu: np.ndarray, values: np.ndarray, rates: np.ndarray):
+    """Per rate, the residual sum of squares left by the closed-form amplitude.
+
+    Formed from the residual itself: |v|^2 - (g.v)^2/(g.g) cancels when the
+    shape fits closely.
+    """
+    _, _, resid = _projected_resid(kind, nu, values, rates)
+    return np.einsum("ps,ps->s", resid, resid)
+
+
+def _projected_slope(kind: str, nu: np.ndarray, values: np.ndarray, rates: np.ndarray):
+    """Per rate, the slope of :func:`_projected` in log(rate).
+
+    The amplitude is optimal, so the slope is
+    2 amp resid . g (nu^2 - rate^2)/(nu^2 + rate^2), the shape's own change.
+    """
+    g, amp, resid = _projected_resid(kind, nu, values, rates)
+    nu = nu[:, None]
     dg = g * (nu**2 - rates**2) / (nu**2 + rates**2)
-    sse = np.einsum("ps,ps->s", resid, resid)
-    return sse, 2.0 * amp * np.einsum("ps,ps->s", resid, dg)
+    return 2.0 * amp * np.einsum("ps,ps->s", resid, dg)
 
 
 def fit_dominant(data: SweepData, kind: str) -> FitResult:
@@ -145,7 +157,7 @@ def fit_dominant(data: SweepData, kind: str) -> FitResult:
     lo = np.floor(np.log10(positive.min())) - _SCREEN_MARGIN
     hi = np.ceil(np.log10(positive.max())) + _SCREEN_MARGIN
     rates = np.logspace(lo, hi, int(hi - lo) * _SCREEN_PER_DECADE + 1)
-    projected, _ = _projected(kind, nu, v, rates)
+    projected = _projected(kind, nu, v, rates)
     minima = np.flatnonzero(
         (projected < np.append(np.inf, projected[:-1]))
         & (projected <= np.append(projected[1:], np.inf))
@@ -160,20 +172,20 @@ def fit_dominant(data: SweepData, kind: str) -> FitResult:
             # secant step on its slope, which crosses zero there steeply,
             # places it to rounding
             run = minimize_scalar(
-                lambda x: _projected(kind, nu, v, centre * np.exp([x]))[0][0],
+                lambda x: _projected(kind, nu, v, centre * np.exp([x]))[0],
                 bounds=(-_BRACKET, _BRACKET), method="bounded",
                 options={"xatol": _LOG_RATE_TOL},
             )
             x, h = run.x, _SECANT_STEP
-            _, (s_lo, s_hi) = _projected(kind, nu, v, centre * np.exp([x - h, x + h]))
+            s_lo, s_hi = _projected_slope(kind, nu, v, centre * np.exp([x - h, x + h]))
             if s_lo < 0.0 < s_hi:
                 x -= h * (s_lo + s_hi) / (s_hi - s_lo)
-            sse = _projected(kind, nu, v, centre * np.exp([x]))[0][0]
+            sse = _projected(kind, nu, v, centre * np.exp([x]))[0]
             return sse, centre * np.exp(x), run.nfev + 3, "step_tol", centre
         # at the grid's edge: follow the minimum outward a decade at a time
         step, rate, sse, evaluations = (10.0 if k else 0.1), centre, projected[k], 0
         while True:
-            trial = _projected(kind, nu, v, np.array([rate * step]))[0][0]
+            trial = _projected(kind, nu, v, np.array([rate * step]))[0]
             evaluations += 1
             if not trial < sse - _EDGE_DROP * (v @ v):
                 return sse, rate, evaluations, "asymptotic", centre

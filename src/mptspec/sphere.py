@@ -18,6 +18,7 @@ closed form too, summing to pec - static = -6 pi alpha^3 mu_r / (mu_r + 2):
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -49,6 +50,23 @@ class SphereSpec:
             val = getattr(self, name)
             if not (np.isfinite(val) and val > 0.0):
                 raise InvalidInputError(f"{name} must be positive and finite")
+        # alpha^3 scales every value and the time constant every frequency;
+        # a finite static limit also bounds 2 pi alpha^3, the other limit
+        tiny = np.finfo(float).tiny
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                in_range = (
+                    tiny <= self.alpha**3 < np.inf
+                    and tiny <= self.time_constant < np.inf
+                    and abs(self.static_value()) < np.inf
+                )
+        except OverflowError:  # a Python float's ** raises instead
+            in_range = False
+        if not in_range:
+            raise InvalidInputError(
+                "alpha^3 and the time constant must be normal floats, and the "
+                "static limit finite"
+            )
 
     @property
     def time_constant(self) -> float:
@@ -68,7 +86,9 @@ def _g_ratio(v: complex) -> complex:
 
     Small arguments use the Taylor series (the closed form cancels like v^3);
     elsewhere the exponentials are factored so nothing overflows however
-    large Im(v) gets.
+    large Im(v) gets.  A huge |v| overflows v^2, and the non-finite result
+    raises NumericRangeError; callers of this and of :func:`_m_of_w` hold
+    ``np.errstate`` so that no floating-point warning comes first.
     """
     v = complex(v)
     if abs(v) <= _SERIES_SWITCH:
@@ -105,11 +125,18 @@ def mpt_sphere(spec: SphereSpec, omega: float) -> complex:
     """
     if not 0.0 <= omega < np.inf:
         raise DomainError(f"omega must be finite and nonnegative, got {omega!r}")
-    return _m_of_w(spec, 1j * omega * spec.time_constant)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = _m_of_w(spec, 1j * omega * spec.time_constant)
+    if not cmath.isfinite(m):
+        raise NumericRangeError(f"sphere polarizability overflowed at omega = {omega:g}")
+    return m
 
 
-def _char(v: float, mu_r: float) -> float:
-    """(mu_r - 1) j1(v) + v j0(v), scaled form that is regular at v = 0."""
+def _char(v, mu_r: float):
+    """(mu_r - 1) j1(v) + v j0(v), scaled form that is regular at v = 0.
+
+    Elementwise over an array of v.
+    """
     return (mu_r - 1.0) * (np.sin(v) - v * np.cos(v)) / (v * v) + np.sin(v)
 
 
@@ -118,45 +145,61 @@ def _check_count(name: str, value, minimum: int) -> None:
         raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _check_range(name: str, values: np.ndarray) -> None:
+    # extreme materials can push what the builder derives past the float range
+    if not np.all((np.abs(values) >= np.finfo(float).tiny) & (np.abs(values) < np.inf)):
+        raise NumericRangeError(f"sphere {name} leave the float range")
+
+
 def sphere_poles(spec: SphereSpec, count: int) -> np.ndarray:
     """First ``count`` eigenvalues lam_n = v_n^2 / mu_r, strictly ascending.
 
     v_n are the positive roots of the sphere characteristic equation; for
     mu_r = 1 they reduce to n*pi so lam_n = (n pi)^2, which fixes the
     convention against the nonpermeable sphere.
+
+    The characteristic function is evaluated in one array call at knots
+    pi/64 apart, from v = 0.05 to the first knot at or past
+    (count + 3) pi + 2.  The knots are running sums, v_lo + step + step + ...,
+    so they are bit-identical to those of a scalar walk adding one step at a
+    time, and so are the roots: a knot where the function is exactly zero is
+    a root, and each sign-change bracket is refined by ``brentq``, in order,
+    until ``count`` roots are found.
     """
     _check_count("count", count, 1)
-    roots = []
     step = np.pi / 64.0
     v_lo = 0.05
-    f_lo = _char(v_lo, spec.mu_r)
-    v = v_lo
     v_max = (count + 3) * np.pi + 2.0
-    while len(roots) < count and v < v_max:
-        v_hi = v + step
-        f_hi = _char(v_hi, spec.mu_r)
-        if f_lo == 0.0:
-            roots.append(v)
-        elif f_lo * f_hi < 0.0:
-            roots.append(
-                brentq(_char, v, v_hi, args=(spec.mu_r,), xtol=1e-300, rtol=1e-14)
-            )
-        v, f_lo = v_hi, f_hi
+    n_steps = int(np.ceil((v_max - v_lo) / step)) + 2
+    knots = np.add.accumulate(np.concatenate([[v_lo], np.full(n_steps, step)]))
+    # intervals start at every knot below v_max; keep the knot that closes
+    # the last of them
+    knots = knots[: np.count_nonzero(knots < v_max) + 1]
+    roots = []
+    # a huge mu_r overflows _char to +-inf, which keeps its sign
+    with np.errstate(over="ignore"):
+        f = _char(knots, spec.mu_r)
+        # signs, not products, which overflow or underflow for extreme mu_r
+        hits = np.flatnonzero((f[:-1] == 0.0) | (np.sign(f[:-1]) == -np.sign(f[1:])))
+        for k in hits[:count]:
+            if f[k] == 0.0:
+                roots.append(knots[k])
+            else:
+                roots.append(
+                    brentq(_char, knots[k], knots[k + 1], args=(spec.mu_r,),
+                           xtol=1e-300, rtol=1e-14)
+                )
     if len(roots) < count:
         raise PoleSpacingError(
             f"found only {len(roots)} characteristic roots scanning "
             f"v in [{v_lo:g}, {v_max:g}]"
         )
-    lam = np.array(roots[:count]) ** 2 / spec.mu_r
+    with np.errstate(over="ignore"):
+        lam = np.array(roots) ** 2 / spec.mu_r
+    _check_range("eigenvalues", lam)
     if np.any(np.diff(lam) <= 0.0):
         raise PoleSpacingError("pole spectrum not strictly increasing")
     return lam
-
-
-def _isotropic_mode(lam: float, a_n: float, alpha: float) -> Mode:
-    # A = a I with a = -(alpha^3 lam / 4) c^2 for three orthogonal rows c e_i
-    c = np.sqrt(-4.0 * a_n / (alpha**3 * lam))
-    return Mode(lam=lam, multiplicity=3, couplings=c * np.eye(3))
 
 
 def _fit_tail(
@@ -189,7 +232,9 @@ def _fit_tail(
     # toward the in-band quality metric
     nu_grid = np.concatenate([nu_grid, np.geomspace(2.0 * nu_hi, 200.0 * nu_hi, 12)])
     w = 1j * nu_grid
-    target = np.array([_m_of_w(spec, wk) for wk in w])
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = np.array([_m_of_w(spec, wk) for wk in w])
+    _check_range("tail targets", target)  # they weight the fit
     partial = n0 + (w[:, None] / (w[:, None] - lams[None, :])) @ residues
     resid = target - partial
     weight = 1.0 / np.abs(target)
@@ -267,13 +312,18 @@ def sphere_spectral_model(
     scanned = sphere_poles(spec, n_modes + 1 if counts else n_modes)
     lams = scanned[:n_modes]
     mu = spec.mu_r
-    residues = -12.0 * np.pi * spec.alpha**3 * mu / (mu * lams + (mu - 1.0) * (mu + 2.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residues = -12.0 * np.pi * spec.alpha**3 * mu / (mu * lams + (mu - 1.0) * (mu + 2.0))
+    _check_range("residues", residues)
     if np.any(residues >= 0.0):
         raise PoleSpacingError("extracted a non-negative residue tensor")
     n0 = spec.static_value()
 
     tau = spec.time_constant
     nu_band = (2.0 * np.pi * f_band[0] * tau, 2.0 * np.pi * f_band[1] * tau)
+    # the tail fit samples up to 200 times the band's top
+    if counts and not 200.0 * nu_band[1] < np.inf:
+        raise NumericRangeError(f"f_band {f_band!r} exceeds the float range in units of nu")
     all_lams, all_residues = lams, residues
     if counts:
         lam_tail, res_tail, _ = _fit_tail(
@@ -282,9 +332,13 @@ def sphere_spectral_model(
         all_lams = np.concatenate([lams, lam_tail])
         all_residues = np.concatenate([residues, res_tail])
 
+    # A = a I with a = -(alpha^3 lam / 4) c^2 for three orthogonal rows c e_i
+    with np.errstate(over="ignore"):
+        couplings = np.sqrt(-4.0 * all_residues / (spec.alpha**3 * all_lams))
+    _check_range("couplings", couplings)
     modes = tuple(
-        _isotropic_mode(lam, a_n, spec.alpha)
-        for lam, a_n in zip(all_lams, all_residues)
+        Mode(lam=lam, multiplicity=3, couplings=c * np.eye(3))
+        for lam, c in zip(all_lams, couplings)
     )
     tail_bound = abs((spec.pec_value() - n0) - all_residues.sum())
     return SpectralModel(

@@ -13,6 +13,7 @@ check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -103,6 +104,8 @@ def generate(
     """
     if dim < 2:
         raise InvalidInputError("dim must be >= 2")
+    if not (isinstance(seed, Integral) and seed >= 0):
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     lam = _spectrum(dim, spectrum_shape)
     q, r = np.linalg.qr(rng.standard_normal((dim, dim)))

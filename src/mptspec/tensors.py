@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidRotationError, SingularityError
+from .errors import (
+    InvalidInputError,
+    InvalidRotationError,
+    NumericRangeError,
+    SingularityError,
+)
 
 # row/column index of each packed coefficient, and its label in file headers
 _PACK_IJ = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
@@ -34,6 +39,12 @@ _UNPACK = np.array([[packed_index(i, j) for j in range(3)] for i in range(3)])
 def unpack(coeffs) -> np.ndarray:
     """Dense symmetric matrices, shape (..., 3, 3), from packed (..., 6)."""
     return np.asarray(coeffs)[..., _UNPACK]
+
+
+def _in_range(norm: float) -> float:
+    if norm == math.inf:
+        raise NumericRangeError("tensor norm exceeds the float range")
+    return norm
 
 
 class SymTensor3:
@@ -88,9 +99,19 @@ class SymTensor3:
         return float(self.coeffs[:3].sum())
 
     def norm(self) -> float:
-        """Frobenius norm."""
-        c = self.coeffs
-        return float(np.sqrt((c[:3] ** 2).sum() + 2.0 * (c[3:] ** 2).sum()))
+        """Frobenius norm.
+
+        Coefficients whose squares overflow are divided by the largest one
+        first.  A norm beyond the float range raises NumericRangeError.
+        """
+        # Python floats overflow to inf without a warning; the sums run in
+        # the order numpy's would
+        d1, d2, d3, o1, o2, o3 = self.coeffs.tolist()
+        squares = (d1 * d1 + d2 * d2 + d3 * d3) + 2.0 * (o1 * o1 + o2 * o2 + o3 * o3)
+        if squares < math.inf:
+            return math.sqrt(squares)
+        scale = float(np.abs(self.coeffs).max())
+        return _in_range(scale * SymTensor3(self.coeffs / scale).norm())
 
     def __add__(self, other: "SymTensor3") -> "SymTensor3":
         return SymTensor3(self.coeffs + other.coeffs)
@@ -145,7 +166,9 @@ class ComplexSymTensor3:
         return ComplexSymTensor3(self.real - other.real, self.imag - other.imag)
 
     def norm(self) -> float:
-        return float(np.hypot(self.real.norm(), self.imag.norm()))
+        """Frobenius norm; beyond the float range raises NumericRangeError."""
+        with np.errstate(over="ignore"):
+            return _in_range(float(np.hypot(self.real.norm(), self.imag.norm())))
 
     def conj(self) -> "ComplexSymTensor3":
         return ComplexSymTensor3(self.real, -self.imag)
@@ -242,7 +265,7 @@ def perturbed_field(x, z, m: ComplexSymTensor3, h0_at_z) -> np.ndarray:
     Contracts the Green's-function Hessian with the polarizability tensor and
     the background field evaluated at the object centre:
     (H - H0)(x) = D^2 G(x, z) . M . H0(z).  Output is a complex 3-vector in
-    the units of ``h0_at_z``.
+    the units of ``h0_at_z``; one that overflows raises NumericRangeError.
     """
     h0 = np.asarray(h0_at_z, dtype=float)
     if h0.shape != (3,):
@@ -250,7 +273,11 @@ def perturbed_field(x, z, m: ComplexSymTensor3, h0_at_z) -> np.ndarray:
     if not np.all(np.isfinite(h0)):
         raise InvalidInputError("background field must be finite")
     d2g = dipole_green_hessian(x, z).matrix
-    return d2g @ (m.matrix @ h0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        field = d2g @ (m.matrix @ h0)
+    if not np.all(np.isfinite(field)):
+        raise NumericRangeError("perturbed field exceeds the float range")
+    return field
 
 
 @dataclass(frozen=True)

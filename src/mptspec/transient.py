@@ -75,8 +75,11 @@ class TransientKernel:
         if t < 0.0:
             return SymTensor3.zero()
         acc = self.steady.coeffs.copy()
-        for s_n, b_n in self.exp_terms:
-            acc = acc + np.exp(s_n * t) * b_n.coeffs
+        # the rates are negative, so s t overflows only towards -inf, where
+        # exp gives the exact limit 0
+        with np.errstate(over="ignore"):
+            for s_n, b_n in self.exp_terms:
+                acc = acc + np.exp(s_n * t) * b_n.coeffs
         return SymTensor3(acc)
 
     def slowest_rate(self) -> float:

@@ -1,14 +1,21 @@
 """Command-line surface, serialisation round-trips, exit-code contract."""
 
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mptspec import SchemaError, SphereSpec, sphere_spectral_model
-from mptspec.cli import main
+from mptspec import cli
+from mptspec.cli import build_parser, main
 from mptspec.modelio import (
     SWEEP_HEADER,
     csv_text,
@@ -189,6 +196,7 @@ BAD_ARGUMENTS = [
     STEP + ["--tmax", "1e-3", "--points", "-1"],
     STEP + ["--tmax", "1e-3", "--points", "1"],
     STEP + ["--tmax", "nan"],
+    STEP + ["--tmin=-1e308", "--tmax", "1e308"],
     ["transient", "--model", "MODEL", "--kind", "impulse", "--tmin=-inf", "--tmax", "1"],
 ]
 
@@ -240,6 +248,15 @@ class TestStrictLibraryArguments:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "|x - z| = 1e-110" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_field_overflowing_product_is_one(self, sphere_model_path, capsys):
+        argv = ["field", "--model", sphere_model_path, "--x", "1e-100", "0", "0",
+                "--z", "0", "0", "0", "--h0", "1e160", "0", "0", "--f", "1e3"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: perturbed field exceeds the float range\n"
 
     @pytest.mark.filterwarnings("error")
     def test_field_far_point_is_finite(self, sphere_model_path, capsys):
@@ -609,3 +626,153 @@ class TestStrictSweepCsv:
         got = read_sweep_csv(str(sweep_path))
         for key in want:
             np.testing.assert_array_equal(got[key], want[key])
+
+
+@pytest.fixture
+def fresh_parser(monkeypatch):
+    """A shared parser that no earlier call has used; counts its builds."""
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_shared_parser", functools.cache(counted))
+    return builds
+
+
+class TestSharedParser:
+    def _sweep(self, model_path, out, extra=()):
+        argv = ["sweep", "--model", model_path, "--fmin", "0", "--fmax", "1e4",
+                "--points", "12", "--out", str(out), *extra]
+        assert main(argv) == 0
+        return out.read_bytes()
+
+    def test_earlier_flag_does_not_leak(self, tmp_path, sphere_model_path, fresh_parser):
+        alone = self._sweep(sphere_model_path, tmp_path / "a.csv")
+        linear = self._sweep(sphere_model_path, tmp_path / "b.csv", ["--no-log"])
+        after = self._sweep(sphere_model_path, tmp_path / "c.csv")
+        assert after == alone != linear
+        assert fresh_parser == [1]
+        nu = read_sweep_csv(str(tmp_path / "c.csv"))["nu"]
+        assert nu[0] == 0.0
+        np.testing.assert_allclose(nu[2:] / nu[1:-1], nu[2] / nu[1], rtol=1e-12)
+
+    def test_usage_error_then_valid_command(self, tmp_path, sphere_model_path,
+                                            fresh_parser, capsys):
+        before = self._sweep(sphere_model_path, tmp_path / "a.csv")
+        first = capsys.readouterr()
+        for bad in (["sweep", "--bogus", "1"], ["sweep", "--points", "x"], ["sweep"], []):
+            assert main(bad) == 1
+            assert capsys.readouterr().err.startswith("error: ")
+        after = self._sweep(sphere_model_path, tmp_path / "b.csv")
+        second = capsys.readouterr()
+        assert after == before
+        assert second.out.replace("b.csv", "a.csv") == first.out
+        assert second.err == first.err == ""
+        assert fresh_parser == [1]
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+        assert cli._shared_parser() is cli._shared_parser()
+
+
+# the argv fuzz: options of every subcommand with values from small sets.
+# Sizes stay small, so that no run asks for a large allocation.
+SPECIAL = ["nan", "inf", "-inf", "0", "-1"]
+SIZES = st.sampled_from(["1", "2", "3", "5", *SPECIAL])
+REALS = st.sampled_from(
+    ["1", "1e-3", "0.01", "1.5", "5.96e6", "1e4", "1e100", "1e-100", "1e160",
+     "1e-160", "1e300", "1e-300", "-1e300", "x", *SPECIAL]
+)
+FUZZ_OPTIONS = {
+    "sweep": ("--model", "--fmax", "--out", "--fmin", "--points", "--log", "--no-log"),
+    "sphere": ("--alpha", "--mur", "--sigma", "--fmin", "--fmax", "--points", "--log",
+               "--no-log", "--out", "--emit-model", "--modes"),
+    "fit": ("--sweep", "--numax", "--out", "--json", "--residuals"),
+    "transient": ("--model", "--kind", "--tmax", "--out", "--tmin", "--points",
+                  "--delta-out"),
+    "field": ("--model", "--x", "--z", "--h0", "--f"),
+    "oracle": ("--dim", "--seed", "--shape", "--tol", "--json", "--inject-corruption"),
+    "ml-eval": ("--model", "--re", "--im", "--variable"),
+    "commutator": ("--model", "--fmin", "--fmax", "--out", "--kind", "--points", "--f2"),
+}
+FUZZ_CHOICES = {
+    "--kind": ["step", "impulse", "RI", "RR", "II", "XX"],
+    "--shape": ["linear", "quadratic", "clustered", "bogus"],
+    "--variable": ["w", "s", "z"],
+}
+FUZZ_FLAGS = {"--log", "--no-log", "--inject-corruption"}
+FUZZ_SIZES = {"--points", "--dim", "--modes", "--seed"}
+FUZZ_VECTORS = {"--x", "--z", "--h0"}
+FUZZ_INPUTS = {"--model", "--sweep"}
+
+
+@st.composite
+def fuzz_argv(draw, inputs, outputs):
+    command = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+    # each option is present with probability 3/4, so most runs get past
+    # argparse's required-option check and reach the command
+    argv = [command]
+    for name in FUZZ_OPTIONS[command]:
+        if draw(st.integers(0, 3)) == 0:
+            continue
+        argv.append(name)
+        if name in FUZZ_FLAGS:
+            continue
+        if name in FUZZ_CHOICES:
+            values = st.sampled_from(FUZZ_CHOICES[name])
+        elif name in FUZZ_SIZES:
+            values = SIZES
+        elif name in FUZZ_INPUTS:
+            values = st.sampled_from(inputs)
+        elif name in ("--out", "--json", "--residuals", "--emit-model", "--delta-out"):
+            values = st.sampled_from(outputs)
+        else:
+            values = REALS
+        argv += [draw(values) for _ in range(3 if name in FUZZ_VECTORS else 1)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    model, sweep = str(root / "m.json"), str(root / "s.csv")
+    sphere = ["sphere", "--alpha", "0.01", "--mur", "1.5", "--sigma", "5.96e6"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(sphere + ["--emit-model", model, "--modes", "2"]) == 0
+        assert main(sphere + ["--fmax", "1e4", "--points", "12", "--out", sweep]) == 0
+    inputs = [model, sweep, str(root / "missing.json"), str(root)]
+    outputs = [str(root / "o1"), str(root / "o2"), str(root / "no" / "dir")]
+    return inputs, outputs
+
+
+def _run_quietly(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestArgvFuzz:
+    @pytest.mark.filterwarnings("error")
+    def test_repeated_runs_exit_cleanly(self, fuzz_files):
+        inputs, outputs = fuzz_files
+        reference = ["sweep", "--model", inputs[0], "--fmax", "1e4", "--points", "5",
+                     "--out", outputs[0]]
+        assert _run_quietly(reference) == (0, "")
+        pinned = Path(outputs[0]).read_bytes()
+
+        @settings(max_examples=300, deadline=None, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(st.lists(fuzz_argv(inputs, outputs), min_size=1, max_size=3))
+        def runs(argvs):
+            for argv in argvs:
+                code, err = _run_quietly(argv)
+                assert code in (0, 1, 2), argv
+                assert "Traceback" not in err, argv
+            # nothing the runs parsed carries over into the next parse
+            assert _run_quietly(reference) == (0, "")
+            assert Path(outputs[0]).read_bytes() == pinned
+
+        runs()

@@ -10,6 +10,8 @@ from scipy.integrate import solve_ivp
 from mptspec import (
     DomainError,
     InvalidInputError,
+    NumericRangeError,
+    PoleSpacingError,
     SphereSpec,
     assemble,
     limit_tensors,
@@ -20,6 +22,7 @@ from mptspec import (
 from mptspec import sphere
 from mptspec.modelio import save_model
 from mptspec.sphere import _char, _g_ratio, _m_of_w
+from scipy.optimize import brentq
 
 FIG1 = SphereSpec(alpha=0.01, mu_r=1.5, sigma_star=5.96e6)
 
@@ -208,6 +211,55 @@ class TestSpherePoles:
         assert lam1 == pytest.approx(7.1986, abs=1e-3)
 
 
+def scalar_poles(spec: SphereSpec, count: int) -> np.ndarray:
+    """The root scan as a scalar walk, one knot at a time, before it became
+    one array call; it reads ``sphere._char`` at call time, so a patched
+    characteristic function reaches it too."""
+    char = sphere._char
+    roots = []
+    step = np.pi / 64.0
+    v_lo = 0.05
+    f_lo = char(v_lo, spec.mu_r)
+    v = v_lo
+    v_max = (count + 3) * np.pi + 2.0
+    while len(roots) < count and v < v_max:
+        v_hi = v + step
+        f_hi = char(v_hi, spec.mu_r)
+        if f_lo == 0.0:
+            roots.append(v)
+        elif f_lo * f_hi < 0.0:
+            roots.append(brentq(char, v, v_hi, args=(spec.mu_r,), xtol=1e-300, rtol=1e-14))
+        v, f_lo = v_hi, f_hi
+    if len(roots) < count:
+        raise PoleSpacingError(f"found only {len(roots)} characteristic roots")
+    return np.array(roots[:count]) ** 2 / spec.mu_r
+
+
+class TestArrayRootScan:
+    def test_bit_identical_to_scalar_walk(self):
+        rng = np.random.default_rng(13)
+        mu_rs = np.append(10.0 ** rng.uniform(-1.0, 2.0, 24), 1.0)
+        counts = np.append(rng.integers(1, 121, 24), 120)
+        for mu_r, count in zip(mu_rs, counts):
+            spec = SphereSpec(FIG1.alpha, float(mu_r), FIG1.sigma_star)
+            lams = sphere_poles(spec, int(count))
+            assert np.array_equal(lams, scalar_poles(spec, int(count))), (mu_r, count)
+
+    def test_exact_zero_knots_are_roots(self, monkeypatch):
+        # rounding makes the function exactly zero on a few knots around each
+        # n pi, so every root is a knot and brentq never runs
+        monkeypatch.setattr(sphere, "_char", lambda v, mu_r: np.round(np.sin(v), 1))
+        lams = sphere_poles(FIG1, 7)
+        assert np.array_equal(lams, scalar_poles(FIG1, 7))
+        v = np.sqrt(lams * FIG1.mu_r)
+        assert np.all(np.abs(np.sin(v)) < 0.05)
+
+    def test_too_few_roots_raises(self, monkeypatch):
+        monkeypatch.setattr(sphere, "_char", lambda v, mu_r: np.ones_like(v))
+        with pytest.raises(PoleSpacingError, match="found only 0"):
+            sphere_poles(FIG1, 3)
+
+
 class TestSphereSpectralModel:
     def test_reproduces_analytic_curve(self):
         model = sphere_spectral_model(FIG1, 30)
@@ -336,6 +388,38 @@ class TestSphereInputChecks:
         model = sphere_spectral_model(FIG1, np.int64(3), tail_modes=np.int32(0))
         assert len(model.modes) == 3
         assert sphere_poles(FIG1, np.int64(2)).size == 2
+
+    @pytest.mark.parametrize(
+        "alpha, mu_r, sigma_star",
+        [(1e300, 1.5, 1.0), (np.float64(1e300), 1.5, 1.0), (1e-200, 1.5, 1.0),
+         (1e100, 1e30, 1.0), (0.01, 1.5, 1e-300)],
+        ids=["cube-overflows", "numpy-cube-overflows", "cube-underflows",
+             "static-limit-overflows", "time-constant-underflows"],
+    )
+    def test_spec_out_of_float_range(self, alpha, mu_r, sigma_star):
+        with pytest.raises(InvalidInputError, match="normal floats"):
+            SphereSpec(alpha, mu_r, sigma_star)
+
+    def test_omega_overflowing(self):
+        with pytest.raises(NumericRangeError, match="overflowed"):
+            mpt_sphere(SphereSpec(1e4, 0.01, 1e300), 1e10)
+
+    @pytest.mark.parametrize(
+        "spec, match",
+        [
+            (SphereSpec(1e4, 0.01, 1e300), "f_band"),
+            (SphereSpec(1e100, 1e-160, 1e-30), "tail targets"),
+            (SphereSpec(1e-100, 1.0, 1.0), "tail targets"),
+            (SphereSpec(1e100, 1e-300, 1e-300), "couplings"),
+            (SphereSpec(0.01, 1e300, 1.5), "residues"),
+            (SphereSpec(0.01, 1e308, 1.5), "residues"),
+            (SphereSpec(0.01, 1e-310, 1e4), "eigenvalues"),
+        ],
+        ids=["band", "tail-target", "tail-target-underflows", "couplings", "residues", "huge-mu_r", "eigenvalues"],
+    )
+    def test_model_out_of_float_range(self, spec, match):
+        with pytest.raises(NumericRangeError, match=match):
+            sphere_spectral_model(spec, 3)
 
     @pytest.mark.parametrize(
         "f_band",

@@ -47,6 +47,11 @@ class TestGenerate:
         with pytest.raises(InvalidInputError):
             generate(1, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, None])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(InvalidInputError, match="seed"):
+            generate(3, seed=seed)
+
     def test_symmetry_invariant(self):
         p = generate(30, seed=9, spectrum_shape="linear")
         assert np.abs(p.k_matrix - p.k_matrix.T).max() <= 1e-14 * np.abs(

@@ -9,6 +9,7 @@ from mptspec import (
     ComplexSymTensor3,
     InvalidInputError,
     InvalidRotationError,
+    NumericRangeError,
     Rotation3,
     SingularityError,
     SymTensor3,
@@ -56,6 +57,60 @@ class TestSymTensor3:
     def test_matrix_round_trip(self, rng):
         t = SymTensor3(rng.standard_normal(6))
         assert np.array_equal(SymTensor3.from_matrix(t.matrix).coeffs, t.coeffs)
+
+
+def squares_norm(t: SymTensor3) -> float:
+    # the Frobenius norm as summed squares, the formula norm() keeps where
+    # no square overflows
+    c = t.coeffs
+    return float(np.sqrt((c[:3] ** 2).sum() + 2.0 * (c[3:] ** 2).sum()))
+
+
+@pytest.mark.filterwarnings("error")
+class TestNorm:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.floats(-1e150, 1e150, allow_nan=False), min_size=6, max_size=6)
+    )
+    def test_unchanged_where_squares_fit(self, coeffs):
+        # tiny entries included: their squares underflow, and stay as they were
+        t = SymTensor3(coeffs)
+        assert t.norm() == squares_norm(t)
+
+    @pytest.mark.parametrize("exponent", [160, 200, 300, 307])
+    @pytest.mark.parametrize("position", range(6))
+    def test_one_large_entry(self, position, exponent):
+        c = np.zeros(6)
+        c[position] = -(10.0**exponent)
+        expected = 10.0**exponent * (1.0 if position < 3 else np.sqrt(2.0))
+        assert SymTensor3(c).norm() == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("exponent", [155, 200, 300, 307])
+    def test_large_mixed_entries(self, rng, exponent):
+        unit = rng.uniform(-1.0, 1.0, 6)
+        t = SymTensor3(unit * 10.0**exponent)
+        expected = squares_norm(SymTensor3(unit)) * 10.0**exponent
+        assert t.norm() == pytest.approx(expected, rel=1e-14)
+
+    def test_complex_large_parts(self):
+        real = SymTensor3.diag(3e200, 0.0, -1e190)
+        imag = SymTensor3([0.0, 0.0, 0.0, 1e300, 0.0, 4e299])
+        for t in (ComplexSymTensor3(real, imag), ComplexSymTensor3(imag, real)):
+            expected = np.linalg.norm(t.matrix / 1e300) * 1e300
+            assert t.norm() == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "tensor",
+        [
+            SymTensor3.diag(1.5e308, 1.5e308, 0.0),
+            SymTensor3([0.0, 0.0, 0.0, 1.7e308, 0.0, 0.0]),
+            ComplexSymTensor3(SymTensor3.diag(1.5e308, 0.0, 0.0), SymTensor3.identity() * 1e308),
+        ],
+        ids=["diagonal", "off-diagonal", "complex"],
+    )
+    def test_beyond_float_range_raises(self, tensor):
+        with pytest.raises(NumericRangeError):
+            tensor.norm()
 
 
 class TestEigenSym3:
@@ -198,6 +253,15 @@ class TestPerturbedField:
         m = ComplexSymTensor3(SymTensor3.isotropic(1.0), SymTensor3.zero())
         with pytest.raises(InvalidInputError):
             perturbed_field(vectors["x"], vectors["z"], m, vectors["h0"])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "x, m_val, h", [(1e-100, 1.8e-6, 1e160), (1.0, 1e10, 1e308)], ids=["near", "strong"]
+    )
+    def test_overflowing_field_raises(self, x, m_val, h):
+        m = ComplexSymTensor3(SymTensor3.isotropic(m_val), SymTensor3.isotropic(1e-7))
+        with pytest.raises(NumericRangeError, match="perturbed field"):
+            perturbed_field([x, 0.0, 0.0], [0.0, 0.0, 0.0], m, [h, h, 0.0])
 
     def test_scalar_tensor_axial(self):
         r, m_val, h = 0.25, 3.0e-6, 7.0

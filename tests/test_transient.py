@@ -60,6 +60,12 @@ class TestStepKernel:
         out = step_kernel(model, 10.0 / abs(slowest))
         assert (out - model.n0).norm() <= 1e-4 * model.n0.norm()
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_time_is_exactly_n0(self):
+        # s t overflows to -inf for every term, and exp gives exactly 0
+        model = two_mode_model()
+        assert np.array_equal(step_kernel(model, 1e300).coeffs, model.n0.coeffs)
+
     def test_single_mode_monotone_interpolation(self):
         modes = (Mode(3.0, 1, np.array([[0.5, 0.2, -0.1]])),)
         model = SpectralModel(
