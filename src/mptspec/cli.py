@@ -167,8 +167,7 @@ def _cmd_transient(args) -> int:
             },
         )
         print(f"wrote impulse delta part to {delta_path}")
-    rows = np.array([kernel.smooth_at(t).coeffs for t in times])
-    modelio.write_transient_csv(args.out, times, rows)
+    modelio.write_transient_csv(args.out, times, kernel.sample(times))
     print(f"wrote {len(times)} kernel samples to {args.out}")
     return 0
 

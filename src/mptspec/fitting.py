@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import InvalidInputError, NoFitError
+from .errors import InvalidInputError, NoFitError, NumericRangeError
 from .spectral import SpectralModel, assemble
 from .tensors import PACKED_LABELS
 
@@ -154,6 +154,9 @@ def fit_dominant(data: SweepData, kind: str) -> FitResult:
     v = values / scale
 
     positive = nu[nu > 0.0]
+    # so that no screened or walked rate squares out of the float range
+    if not 1e-100 <= positive.min() <= positive.max() <= 1e100:
+        raise NoFitError("positive nu must lie within [1e-100, 1e100]")
     lo = np.floor(np.log10(positive.min())) - _SCREEN_MARGIN
     hi = np.ceil(np.log10(positive.max())) + _SCREEN_MARGIN
     rates = np.logspace(lo, hi, int(hi - lo) * _SCREEN_PER_DECADE + 1)
@@ -194,12 +197,16 @@ def fit_dominant(data: SweepData, kind: str) -> FitResult:
     screened = minima[np.argsort(projected[minima], kind="stable")][:2]
     sse, rate, evaluations, stop, start_rate = min(map(refine, screened))
     amp = _best_amp(kind, nu, v, rate)
-    abs_resid = np.abs(v - amp * _unit_shape(kind, nu, rate)) * scale
+    with np.errstate(over="ignore"):
+        amp_out = amp * scale
+        abs_resid = np.abs(v - amp * _unit_shape(kind, nu, rate)) * scale
+    if not (np.isfinite(amp_out) and np.all(np.isfinite(abs_resid))):
+        raise NumericRangeError("fitted amplitude or residual exceeds the float range")
     residual_curve = -abs_resid if kind == "R" else abs_resid
     residual_curve.setflags(write=False)
     return FitResult(
         kind=kind,
-        amp=float(amp * scale),
+        amp=float(amp_out),
         rate=float(rate),
         rms=float(np.sqrt(sse / nu.size) * scale),
         residual_curve=residual_curve,

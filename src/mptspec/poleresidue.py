@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, PoleProximityError
-from .spectral import MU0, SpectralModel, mode_tensor
+from .spectral import MU0, SpectralModel, _check_scale, mode_tensor
 from .tensors import ComplexSymTensor3, SymTensor3, unpack
 
 POLE_PROXIMITY_REL = 1e-12
@@ -57,8 +57,7 @@ class PoleResidueExpansion:
             raise InvalidInputError("poles must be negative and strictly decreasing")
         if np.any(nv < 0):
             raise InvalidInputError("Taylor-subtraction degrees must be >= 0")
-        if not all(np.isfinite(x) and x > 0.0 for x in (self.alpha, self.sigma_star)):
-            raise InvalidInputError("alpha and sigma_star must be positive and finite")
+        _check_scale(self.alpha, self.sigma_star)
         packed = np.array([a.coeffs for a in self.residues]).reshape(poles.size, 6)
         packed.setflags(write=False)
         mats = unpack(packed)

@@ -19,13 +19,14 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, NoDominantModeError
+from .errors import DomainError, InvalidInputError, NoDominantModeError, NumericRangeError
 from .tensors import (
     ComplexSymTensor3,
     Rotation3,
     SymTensor3,
     packed_index,
     rotate_tensor,
+    unpack,
 )
 
 MU0 = 4.0e-7 * np.pi  # permeability of free space, H/m
@@ -47,6 +48,21 @@ def is_number(x, kind=Real) -> bool:
         return math.isfinite(x)
     except OverflowError:
         return False
+
+
+def _check_scale(alpha, sigma_star) -> None:
+    # the one scale rule of every model-like object: alpha^3 scales each
+    # tensor and the time constant mu0 sigma_star alpha^2 each frequency
+    if not all(is_number(x) and x > 0.0 for x in (alpha, sigma_star)):
+        raise InvalidInputError("alpha and sigma_star must be positive and finite")
+    try:
+        with np.errstate(over="ignore"):
+            cube, tau = float(alpha**3), float(MU0 * sigma_star * alpha**2)
+    except OverflowError:  # a Python float's ** raises instead
+        cube = tau = math.inf
+    tiny = np.finfo(float).tiny
+    if not (tiny <= cube < math.inf and tiny <= tau < math.inf):
+        raise InvalidInputError("alpha^3 and the time constant must be normal floats")
 
 
 @dataclass(frozen=True)
@@ -102,8 +118,7 @@ class SpectralModel:
     tail_bound: float | None = None
 
     def __post_init__(self):
-        if not all(is_number(x) and x > 0.0 for x in (self.alpha, self.sigma_star)):
-            raise InvalidInputError("alpha and sigma_star must be positive and finite")
+        _check_scale(self.alpha, self.sigma_star)
         if self.provenance not in PROVENANCES:
             raise InvalidInputError(f"unknown provenance {self.provenance!r}")
         if not isinstance(self.topology_flag, (str, type(None))):
@@ -118,6 +133,14 @@ class SpectralModel:
                 "mode eigenvalues must be strictly increasing; merge equal "
                 "eigenvalues into one mode via multiplicity"
             )
+        # |C^T C| is at most its largest diagonal entry and a contraction
+        # weighs each residue by at most 1, so no residue, sum or N0 + R overflows
+        with np.errstate(over="ignore"):
+            peak = max((m.lam * (m.couplings**2).sum(0).max() for m in self.modes), default=0)
+            bound = self.alpha**3 / 4.0 * peak * len(self.modes)
+            bound += np.abs(self.n0.coeffs).max()
+        if not bound < math.inf:
+            raise NumericRangeError("mode residues or N0 + R exceed the float range")
 
     @property
     def mu0(self) -> float:
@@ -240,10 +263,17 @@ def _core(model: SpectralModel) -> tuple[np.ndarray, np.ndarray]:
     return core
 
 
-def _contract(weights: np.ndarray, a: np.ndarray) -> list[SymTensor3]:
+def _contract(weights: np.ndarray, a: np.ndarray) -> np.ndarray:
     # -sum_n w_n A_n for each row of weights; 0.0 - keeps exact zero
     # coefficients at +0.0, as the sum from a zero start gives them
-    return [SymTensor3(row) for row in 0.0 - weights @ a]
+    return 0.0 - weights @ a
+
+
+def _packed_ri(model: SpectralModel, nu: float) -> np.ndarray:
+    """Packed R and I at nu, shape (2, 6): one contraction of the core."""
+    lams, a = _core(model)
+    re, im, _ = _beta_parts(nu, lams)
+    return _contract(np.stack((re, im)), a)
 
 
 def assemble(
@@ -257,9 +287,7 @@ def assemble(
     """
     if _finite(nu) < 0.0:
         raise DomainError("nu must be nonnegative")
-    lams, a = _core(model)
-    re, im, _ = _beta_parts(nu, lams)
-    r_t, i_t = _contract(np.stack((re, im)), a)
+    r_t, i_t = map(SymTensor3, _packed_ri(model, nu))
     return r_t, i_t, ComplexSymTensor3(model.n0 + r_t, i_t)
 
 
@@ -270,7 +298,7 @@ def assemble_dlog(
     if _finite(nu) <= 0.0:
         raise DomainError("log-frequency derivative requires nu > 0")
     lams, a = _core(model)
-    return tuple(_contract(np.stack(_dlog_parts(nu, lams)), a))
+    return tuple(map(SymTensor3, _contract(np.stack(_dlog_parts(nu, lams)), a)))
 
 
 def limit_tensors(model: SpectralModel) -> tuple[SymTensor3, SymTensor3]:
@@ -305,23 +333,23 @@ def commutator_Z(
     kind 'RI' uses nu1 only and returns R(nu1) I(nu1) - I(nu1) R(nu1);
     'RR' and 'II' commute the same tensor at two frequencies nu1, nu2.
     Diagonal entries vanish identically; single-mode models give zero.
+    R and I come from the same contraction of the cached core that
+    :func:`assemble` makes, as dense 3x3 matrices, with no tensor objects.
     """
     if _finite(nu1, "nu1") <= 0.0:
         raise DomainError("nu1 must be positive")
     if nu2 is not None:
         _finite(nu2, "nu2")
     if kind == "RI":
-        r, i, _ = assemble(model, nu1)
-        a, b = r.matrix, i.matrix
+        rows = _packed_ri(model, nu1)
     elif kind in ("RR", "II"):
         if nu2 is None or nu2 <= 0.0:
             raise DomainError(f"kind {kind} requires a positive nu2")
-        t1 = assemble(model, nu1)
-        t2 = assemble(model, nu2)
         pick = 0 if kind == "RR" else 1
-        a, b = t1[pick].matrix, t2[pick].matrix
+        rows = np.stack((_packed_ri(model, nu1)[pick], _packed_ri(model, nu2)[pick]))
     else:
         raise InvalidInputError(f"unknown commutator kind {kind!r}")
+    a, b = unpack(rows)
     return a @ b - b @ a
 
 

@@ -31,7 +31,7 @@ from .errors import (
     NumericRangeError,
     PoleSpacingError,
 )
-from .spectral import MU0, Mode, SpectralModel, is_number
+from .spectral import MU0, Mode, SpectralModel, _check_scale, is_number
 from .tensors import SymTensor3
 
 _SERIES_SWITCH = 0.2  # |v| below which the small-argument series is used
@@ -46,27 +46,14 @@ class SphereSpec:
     sigma_star: float
 
     def __post_init__(self):
-        for name in ("alpha", "mu_r", "sigma_star"):
-            val = getattr(self, name)
-            if not (np.isfinite(val) and val > 0.0):
-                raise InvalidInputError(f"{name} must be positive and finite")
-        # alpha^3 scales every value and the time constant every frequency;
+        _check_scale(self.alpha, self.sigma_star)
+        if not (is_number(self.mu_r) and self.mu_r > 0.0):
+            raise InvalidInputError("mu_r must be positive and finite")
         # a finite static limit also bounds 2 pi alpha^3, the other limit
-        tiny = np.finfo(float).tiny
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                in_range = (
-                    tiny <= self.alpha**3 < np.inf
-                    and tiny <= self.time_constant < np.inf
-                    and abs(self.static_value()) < np.inf
-                )
-        except OverflowError:  # a Python float's ** raises instead
-            in_range = False
-        if not in_range:
-            raise InvalidInputError(
-                "alpha^3 and the time constant must be normal floats, and the "
-                "static limit finite"
-            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not abs(self.static_value()) < np.inf:
+                raise InvalidInputError("alpha^3 and the time constant must be normal "
+                                        "floats, and the static limit finite")
 
     @property
     def time_constant(self) -> float:

@@ -21,6 +21,7 @@ from .errors import DomainError, InvalidInputError
 from .spectral import (
     FrequencyGrid,
     SpectralModel,
+    _check_scale,
     assemble,
     assemble_dlog,
     commutator_Z,
@@ -53,8 +54,7 @@ class SurrogateProblem:
     nu_grid: FrequencyGrid
 
     def __post_init__(self):
-        if not all(is_number(x) and x > 0.0 for x in (self.alpha, self.sigma_star)):
-            raise InvalidInputError("alpha and sigma_star must be positive and finite")
+        _check_scale(self.alpha, self.sigma_star)
         # private read-only copies, as Mode keeps, so no caller can change a
         # checked problem
         k = np.array(self.k_matrix, dtype=float)
@@ -287,6 +287,15 @@ def _corrupt_first_coupling(model: SpectralModel, amount: float = 1e-3) -> Spect
     )
 
 
+# the checks whose report entries carry a note
+_NOTES = {
+    "inflection_stationary_coincidence":
+        "single-mode: d2R/dlog2 and dI/dlog vanish at nu = lam_1",
+    "commutator_growth_bound":
+        "|Z_RI|/nu, |Z_RR|, |Z_II|/(nu1 nu2) under derived constants",
+}
+
+
 def _rel(diff: float, scale: float) -> float:
     return diff / max(scale, 1e-300)
 
@@ -297,13 +306,16 @@ def verify_identities(
     tol: float = 1e-9,
     corrupt_coupling: bool = False,
 ) -> VerificationReport:
-    """Run the full identity battery on every grid point.
+    """Run the full identity battery on every positive grid point.
 
-    Violations are relative; each check passes when its worst violation over
-    the grid stays below ``tol``.  Failures become report entries, never
-    exceptions.  ``corrupt_coupling`` perturbs one model coupling by 1e-3
-    after extraction, which must break the model-vs-direct identities while
-    the direct-solve-only ones stay green (fault localisation).
+    Each check records its worst relative violation over those points (0.0
+    if there are none) and passes when that is at most ``tol``.  The checks
+    come in a fixed order; a single-mode model gets the inflection and
+    zero-commutator checks in place of the commutator growth bound and the
+    zero-diagonal check.  Failures become report entries, never exceptions.
+    ``corrupt_coupling`` perturbs one model coupling by 1e-3 after
+    extraction, which must break the model-vs-direct identities while the
+    direct-solve-only ones stay green (fault localisation).
     """
     if not (is_number(tol) and tol > 0.0):
         raise InvalidInputError(f"tol must be positive and finite, got {tol!r}")
@@ -331,34 +343,35 @@ def verify_identities(
     # derived commutator bound constants (Cauchy-Schwarz through the
     # alternative forms): T0^2 = sum of squared couplings, E1 weighted by lam
     t0_sq = sum(float((m.couplings**2).sum()) for m in model.modes)
-    e1 = np.sqrt(
-        sum(float(m.lam**2 * (m.couplings**2).sum()) for m in model.modes)
-    )
+    e1 = np.sqrt(sum(float(m.lam**2 * (m.couplings**2).sum()) for m in model.modes))
     r_bar = 0.25 * a3 * e1 * np.sqrt(t0_sq)
     i_bar = 0.5 * a3 * t0_sq
     c_ri = 6.0 * r_bar * i_bar
     c_rr = 6.0 * r_bar**2
     c_ii = 6.0 * i_bar**2
 
+    # the worst relative violation of each check over the grid, in report
+    # order; every update is a running max
     single_mode = len(model.modes) == 1
-    v_series = 0.0
-    v_energy = 0.0
-    v_alt = 0.0
-    v_def = 0.0
-    v_off = 0.0
-    v_rot = 0.0
-    v_comm_zero = 0.0
-    v_comm_bound = 0.0
+    comm_zero = "commutator_single_mode_zero" if single_mode else "commutator_diagonal_zero"
+    worst = dict.fromkeys(
+        ("series_vs_direct_solve", "assemble_vs_energy_direct", "energy_alternative_forms",
+         "definiteness_R_I", "offdiagonal_bounds", "rotation_equivariance",
+         "inflection_stationary_coincidence" if single_mode else "commutator_growth_bound",
+         comm_zero, "infinite_frequency_limit"),
+        0.0,
+    )
+
+    def record(name: str, *violations) -> None:
+        worst[name] = max(worst[name], *violations)
+
     for idx, nu in enumerate(nus):
         theta1 = direct_theta1(problem, nu)
         beta_diag = -1j * nu / (1j * nu - lam_raw)
         theta1_series = phi @ (beta_diag[:, None] * proj)
-        v_series = max(
-            v_series,
-            _rel(
-                np.linalg.norm(theta1 - theta1_series),
-                np.linalg.norm(theta1),
-            ),
+        record(
+            "series_vs_direct_solve",
+            _rel(np.linalg.norm(theta1 - theta1_series), np.linalg.norm(theta1)),
         )
 
         # one LU solve per nu feeds the series check and both energy forms
@@ -366,123 +379,77 @@ def verify_identities(
         r_alt, i_alt = _energy_alt(problem, nu, theta1)
         r_mod, i_mod, _ = assemble(model, nu)
         scale = max(r_direct.norm() + i_direct.norm(), 1e-300)
-        v_energy = max(
-            v_energy,
+        record(
+            "assemble_vs_energy_direct",
             ((r_mod - r_direct).norm() + (i_mod - i_direct).norm()) / scale,
         )
-        v_alt = max(
-            v_alt,
+        record(
+            "energy_alternative_forms",
             ((r_alt - r_direct).norm() + (i_alt - i_direct).norm()) / scale,
         )
 
         eig_r, _ = eigen_sym3(r_mod)
         eig_i, _ = eigen_sym3(i_mod)
-        v_def = max(
-            v_def,
+        record(
+            "definiteness_R_I",
             _rel(max(eig_r.max(), 0.0), r_mod.norm()),
             _rel(max(-eig_i.min(), 0.0), i_mod.norm()),
         )
 
         rep = offdiag_bound_report(r_mod, i_mod)
-        v_off = max(
-            v_off,
+        record(
+            "offdiagonal_bounds",
             _rel(max(-rep.margin_r, 0.0), abs(r_mod.trace())),
             _rel(max(-rep.margin_i, 0.0), i_mod.trace()),
         )
 
         r_rot, i_rot, _ = assemble(model_rot, nu)
-        v_rot = max(
-            v_rot,
+        record(
+            "rotation_equivariance",
             ((r_rot - rotate_tensor(r_mod, q)).norm()
              + (i_rot - rotate_tensor(i_mod, q)).norm()) / scale,
         )
         er_rot, _ = eigen_sym3(r_rot)
-        v_rot = max(v_rot, _rel(np.abs(er_rot - eig_r).max(), r_mod.norm()))
+        record("rotation_equivariance", _rel(np.abs(er_rot - eig_r).max(), r_mod.norm()))
 
         nu2 = nus[(idx + 7) % nus.size]
         z_ri = commutator_Z(model, nu, kind="RI")
         z_rr = commutator_Z(model, nu, nu2, kind="RR")
         z_ii = commutator_Z(model, nu, nu2, kind="II")
+        zscale = max(r_mod.norm() * i_mod.norm(), 1e-300)
         if single_mode:
-            zscale = max(r_mod.norm() * i_mod.norm(), 1e-300)
-            v_comm_zero = max(
-                v_comm_zero,
-                np.abs(z_ri).max() / zscale,
-                np.abs(z_rr).max() / zscale,
-                np.abs(z_ii).max() / zscale,
-            )
+            record(comm_zero, *(np.abs(z).max() / zscale for z in (z_ri, z_rr, z_ii)))
         else:
-            v_comm_bound = max(
-                v_comm_bound,
+            record(
+                "commutator_growth_bound",
                 max(np.abs(z_ri).max() / nu - c_ri, 0.0) / c_ri,
                 max(np.abs(z_rr).max() - c_rr, 0.0) / c_rr,
                 max(np.abs(z_ii).max() / (nu * nu2) - c_ii, 0.0) / c_ii,
             )
         # diagonal commutator entries vanish for any object
-        v_comm_zero = max(
-            v_comm_zero,
-            np.abs(np.diag(z_ri)).max() / max(r_mod.norm() * i_mod.norm(), 1e-300),
-        )
-
-    checks = [
-        IdentityCheck("series_vs_direct_solve", v_series, tol, v_series <= tol),
-        IdentityCheck("assemble_vs_energy_direct", v_energy, tol, v_energy <= tol),
-        IdentityCheck("energy_alternative_forms", v_alt, tol, v_alt <= tol),
-        IdentityCheck("definiteness_R_I", v_def, tol, v_def <= tol),
-        IdentityCheck("offdiagonal_bounds", v_off, tol, v_off <= tol),
-        IdentityCheck("rotation_equivariance", v_rot, tol, v_rot <= tol),
-    ]
+        record(comm_zero, np.abs(np.diag(z_ri)).max() / zscale)
 
     m0, minf = limit_tensors(model)
     # stationary point of I_ii coincides with the inflection of R_ii for a
     # single-mode model, analytically at nu = lam_1
     if single_mode:
-        lam1 = model.modes[0].lam
-        d_r, d2_r, d_i = assemble_dlog(model, lam1)
+        _, d2_r, d_i = assemble_dlog(model, model.modes[0].lam)
         a1 = minf - m0  # the one residue A_1
-        v_inf = max(
+        record(
+            "inflection_stationary_coincidence",
             _rel(d2_r.norm(), a1.norm()),
             _rel(d_i.norm(), a1.norm()),
-        )
-        checks.append(
-            IdentityCheck(
-                "inflection_stationary_coincidence",
-                v_inf,
-                tol,
-                v_inf <= tol,
-                note="single-mode: d2R/dlog2 and dI/dlog vanish at nu = lam_1",
-            )
-        )
-        checks.append(
-            IdentityCheck(
-                "commutator_single_mode_zero",
-                v_comm_zero,
-                tol,
-                v_comm_zero <= tol,
-            )
-        )
-    else:
-        checks.append(
-            IdentityCheck(
-                "commutator_growth_bound",
-                v_comm_bound,
-                tol,
-                v_comm_bound <= tol,
-                note="|Z_RI|/nu, |Z_RR|, |Z_II|/(nu1 nu2) under derived constants",
-            )
-        )
-        checks.append(
-            IdentityCheck(
-                "commutator_diagonal_zero",
-                v_comm_zero,
-                tol,
-                v_comm_zero <= tol,
-            )
         )
 
     nu_huge = 1e9 * model.modes[-1].lam
     r_huge = assemble(model, nu_huge)[0]
-    v_lim = _rel((minf - (model.n0 + r_huge)).norm(), max(minf.norm(), m0.norm()))
-    checks.append(IdentityCheck("infinite_frequency_limit", v_lim, tol, v_lim <= tol))
+    record(
+        "infinite_frequency_limit",
+        _rel((minf - (model.n0 + r_huge)).norm(), max(minf.norm(), m0.norm())),
+    )
 
-    return VerificationReport(problem.dim, int(nus.size), tuple(checks))
+    checks = tuple(
+        IdentityCheck(name, v, tol, v <= tol, _NOTES.get(name, ""))
+        for name, v in worst.items()
+    )
+    return VerificationReport(problem.dim, int(nus.size), checks)

@@ -85,7 +85,9 @@ class SymTensor3:
         scale = max(np.abs(m).max(), 1.0)
         if np.abs(m - m.T).max() > asym_tol * scale:
             raise InvalidInputError("matrix is not symmetric to tolerance")
-        s = 0.5 * (m + m.T)
+        # halving the sum is exact, subnormals included, unless the sum
+        # overflows; then halve first
+        s = 0.5 * (m + m.T) if scale < 8e307 else 0.5 * m + 0.5 * m.T
         return cls([s[i, j] for i, j in _PACK_IJ])
 
     @property
@@ -259,13 +261,14 @@ def dipole_green_hessian(x, z) -> SymTensor3:
     return SymTensor3.from_matrix(m, asym_tol=1e-9)
 
 
-def perturbed_field(x, z, m: ComplexSymTensor3, h0_at_z) -> np.ndarray:
+def perturbed_field(x, z, m: SymTensor3 | ComplexSymTensor3, h0_at_z) -> np.ndarray:
     """Leading-order perturbed magnetic field of a small object at z.
 
     Contracts the Green's-function Hessian with the polarizability tensor and
     the background field evaluated at the object centre:
-    (H - H0)(x) = D^2 G(x, z) . M . H0(z).  Output is a complex 3-vector in
-    the units of ``h0_at_z``; one that overflows raises NumericRangeError.
+    (H - H0)(x) = D^2 G(x, z) . M . H0(z).  Output is a 3-vector in the units
+    of ``h0_at_z``, complex for a complex tensor and real for a real one (a
+    time-domain kernel); one that overflows raises NumericRangeError.
     """
     h0 = np.asarray(h0_at_z, dtype=float)
     if h0.shape != (3,):

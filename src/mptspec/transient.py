@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, SingularityError
+from .errors import DomainError, InvalidInputError
 from .spectral import SpectralModel, _core, limit_tensors, mode_tensor
-from .tensors import SymTensor3, dipole_green_hessian
+from .tensors import SymTensor3, perturbed_field
 
 
 @dataclass(frozen=True)
@@ -70,17 +70,29 @@ class TransientKernel:
             truncation_bound=model.tail_bound or 0.0,
         )
 
-    def smooth_at(self, t: float) -> SymTensor3:
-        """Regular (non-distributional) part of the kernel at time t."""
-        if t < 0.0:
-            return SymTensor3.zero()
-        acc = self.steady.coeffs.copy()
+    def sample(self, times) -> np.ndarray:
+        """Regular part of the kernel at each of the 1-D ``times``, (points, 6).
+
+        Zero at negative times; a non-finite time raises DomainError.
+        """
+        t = np.asarray(times, dtype=float)
+        if t.ndim != 1:
+            raise InvalidInputError("sample times must be a 1-D array")
+        if not np.all(np.isfinite(t)):
+            raise DomainError("sample times must be finite")
+        acc = np.tile(self.steady.coeffs, (t.size, 1))
         # the rates are negative, so s t overflows only towards -inf, where
-        # exp gives the exact limit 0
+        # exp gives the exact limit 0; negative times are zeroed below
+        t_pos = np.where(t < 0.0, 0.0, t)[:, None]
         with np.errstate(over="ignore"):
             for s_n, b_n in self.exp_terms:
-                acc = acc + np.exp(s_n * t) * b_n.coeffs
-        return SymTensor3(acc)
+                acc = acc + np.exp(s_n * t_pos) * b_n.coeffs
+        acc[t < 0.0] = 0.0
+        return acc
+
+    def smooth_at(self, t: float) -> SymTensor3:
+        """Regular (non-distributional) part of the kernel at time t."""
+        return SymTensor3(self.sample([t])[0])
 
     def slowest_rate(self) -> float:
         if not self.exp_terms:
@@ -232,17 +244,12 @@ def transient_field(
     validity conditions hold.  For 'step' returns a real 3-vector; for
     'impulse' returns (smooth vector, delta-part vector).
     """
-    h0 = np.asarray(h0_at_z, dtype=float)
-    if h0.shape != (3,):
-        raise InvalidInputError("background field must be a real 3-vector")
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if np.array_equal(x, z):
-        raise SingularityError("transient field is singular at x == z")
-    d2g = dipole_green_hessian(x, z).matrix
     if excitation_kind == "step":
-        return d2g @ (step_kernel(model, t).matrix @ h0)
+        return perturbed_field(x, z, step_kernel(model, t), h0_at_z)
     if excitation_kind == "impulse":
         delta, smooth = impulse_kernel(model, t)
-        return d2g @ (smooth.matrix @ h0), d2g @ (delta.matrix @ h0)
+        return (
+            perturbed_field(x, z, smooth, h0_at_z),
+            perturbed_field(x, z, delta, h0_at_z),
+        )
     raise InvalidInputError(f"unknown excitation kind {excitation_kind!r}")

@@ -5,6 +5,22 @@ import pytest
 
 from mptspec import Mode, SpectralModel, SymTensor3
 
+# 20 seeded problems across dims 2-100 and every spectrum shape
+ORACLE_CASES = [
+    (dim, seed, shape)
+    for seed, (dim, shape) in enumerate(
+        zip(
+            [2, 3, 5, 8, 13, 21, 34, 55, 89, 100, 2, 4, 6, 10, 16, 25, 40, 60, 80, 100],
+            [
+                "linear", "quadratic", "clustered", "linear", "quadratic",
+                "clustered", "linear", "quadratic", "clustered", "linear",
+                "clustered", "quadratic", "linear", "clustered", "quadratic",
+                "linear", "clustered", "quadratic", "linear", "quadratic",
+            ],
+        )
+    )
+]
+
 
 def random_sym_tensor(rng, scale=1.0) -> SymTensor3:
     m = rng.standard_normal((3, 3)) * scale

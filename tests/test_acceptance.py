@@ -47,24 +47,9 @@ from mptspec.cli import main as cli_main
 from mptspec.fitting import default_fit_grid, sweep_coefficients
 from mptspec.poleresidue import contour_residue
 from mptspec.spectral import Mode, SpectralModel
+from conftest import ORACLE_CASES
 
 FIG1 = SphereSpec(alpha=0.01, mu_r=1.5, sigma_star=5.96e6)
-
-# 20 seeded problems across dims 2-100 and every spectrum shape
-ORACLE_CASES = [
-    (dim, seed, shape)
-    for seed, (dim, shape) in enumerate(
-        zip(
-            [2, 3, 5, 8, 13, 21, 34, 55, 89, 100, 2, 4, 6, 10, 16, 25, 40, 60, 80, 100],
-            [
-                "linear", "quadratic", "clustered", "linear", "quadratic",
-                "clustered", "linear", "quadratic", "clustered", "linear",
-                "clustered", "quadratic", "linear", "clustered", "quadratic",
-                "linear", "clustered", "quadratic", "linear", "quadratic",
-            ],
-        )
-    )
-]
 
 
 def _report(criterion: int, name: str, ok: bool, detail: str = "") -> None:

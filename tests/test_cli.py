@@ -1,6 +1,7 @@
 """Command-line surface, serialisation round-trips, exit-code contract."""
 
 import contextlib
+import copy
 import functools
 import hashlib
 import io
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mptspec import SchemaError, SphereSpec, sphere_spectral_model
+from mptspec import MptError, SchemaError, SphereSpec, sphere_spectral_model
 from mptspec import cli
 from mptspec.cli import build_parser, main
 from mptspec.modelio import (
@@ -266,6 +267,35 @@ class TestStrictLibraryArguments:
         payload = json.loads(capsys.readouterr().out)
         for key in ("field_re_A_per_m", "field_im_A_per_m"):
             assert len(payload[key]) == 3 and np.all(np.isfinite(payload[key]))
+
+
+class TestExtremeModelScale:
+    # a size whose cube overflows, and one whose cube underflows; both ended
+    # in an OverflowError or ZeroDivisionError traceback before the scale
+    # rule was shared
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [1e200, 1e-200])
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--fmax", "1e4", "--points", "5", "--out"],
+        ["transient", "--kind", "impulse", "--tmax", "1e-3", "--points", "5", "--out"],
+        ["ml-eval", "--re", "1", "--im", "1"],
+        ["field", "--x", "1", "0", "0", "--z", "0", "0", "0", "--h0", "1", "0", "0",
+         "--f", "1e3"],
+        ["commutator", "--fmin", "1", "--fmax", "1e3", "--points", "5", "--out"],
+    ], ids=lambda argv: argv[0])
+    def test_exits_one_without_traceback(self, alpha, command, tmp_path,
+                                         sphere_model_path):
+        doc = json.loads(Path(sphere_model_path).read_text())
+        doc["alpha_m"] = alpha
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(doc))
+        argv = [command[0], "--model", str(path), *command[1:]]
+        if argv[-1] == "--out":
+            argv.append(str(tmp_path / "out.csv"))
+        code, err = _run_quietly(argv)
+        assert code == 1
+        assert err.startswith("error: malformed model document: alpha^3")
+        assert "Traceback" not in err
 
 
 class TestTransientCli:
@@ -774,5 +804,111 @@ class TestArgvFuzz:
             # nothing the runs parsed carries over into the next parse
             assert _run_quietly(reference) == (0, "")
             assert Path(outputs[0]).read_bytes() == pinned
+
+        runs()
+
+
+# the file fuzz: model documents and sweep CSVs with values swapped for
+# extreme, mistyped or nested ones, and keys dropped.  Every list is short,
+# so that no input asks for a large allocation.
+FILE_VALUES = [1e200, -1e200, 1e-200, 1e308, -1e308, 1e-308, 5e-324, 0, -1, 0.0, 2,
+               True, False, "x", "1e-3", None, [], [1.0], [[1.0, 2.0], [3.0]], {}]
+CSV_VALUES = ["1e200", "-1e200", "1e-200", "1e308", "-1e308", "1e-308", "5e-324", "0",
+              "-0", "-1", "nan", "inf", "true", "null", "x", "", "[1]"]
+
+
+def _paths(node, prefix=()):
+    """Every key or index path below a JSON node, parents before children."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_document(draw, documents):
+    doc = json.loads(json.dumps(draw(st.sampled_from(documents))))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()) and isinstance(parent, dict):
+            del parent[path[-1]]
+        else:
+            # a copy, so that a later mutation cannot change FILE_VALUES
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(FILE_VALUES)))
+    return doc
+
+
+@st.composite
+def mutated_sweep(draw, text):
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        row = draw(st.integers(0, len(lines) - 1))
+        if draw(st.integers(0, 5)) == 0:
+            del lines[row]
+            if not lines:
+                break
+            continue
+        fields = lines[row].split(",")
+        column = draw(st.integers(0, len(fields) - 1))
+        if draw(st.integers(0, 5)) == 0:
+            del fields[column]
+        else:
+            fields[column] = draw(st.sampled_from(CSV_VALUES))
+        lines[row] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+class TestFileFuzz:
+    FUZZ = settings(max_examples=120, deadline=None, database=None,
+                    suppress_health_check=[HealthCheck.too_slow,
+                                           HealthCheck.function_scoped_fixture])
+
+    @pytest.mark.filterwarnings("error")
+    def test_model_documents_load_strictly(self, tmp_path):
+        documents = [
+            model_to_document(sphere_spectral_model(SphereSpec(0.01, 1.5, 5.96e6), 2)),
+            model_to_document(random_model(4, n_modes=2)),
+        ]
+        first, second, out = (str(tmp_path / n) for n in ("a.json", "b.json", "s.csv"))
+
+        @self.FUZZ
+        @given(mutated_document(documents))
+        def runs(doc):
+            try:
+                model = document_to_model(doc)
+            except MptError:
+                return
+            save_model(model, first)
+            save_model(load_model(first), second)
+            assert Path(first).read_bytes() == Path(second).read_bytes()
+            code, err = _run_quietly(["sweep", "--model", first, "--fmax", "1e4",
+                                      "--points", "5", "--out", out])
+            assert code in (0, 1), doc
+            assert "Traceback" not in err, doc
+
+        runs()
+
+    @pytest.mark.filterwarnings("error")
+    def test_sweep_csvs_fit_strictly(self, tmp_path):
+        path = tmp_path / "s.csv"
+        argv = ["sphere", "--alpha", "0.01", "--mur", "1.5", "--sigma", "5.96e6",
+                "--fmin", "0", "--fmax", "1e4", "--points", "12", "--out", str(path)]
+        assert _run_quietly(argv) == (0, "")
+        text = path.read_text()
+
+        @self.FUZZ
+        @given(mutated_sweep(text))
+        def runs(mutated):
+            path.write_text(mutated)
+            code, err = _run_quietly(["fit", "--sweep", str(path), "--numax", "47.06"])
+            assert code in (0, 1), mutated
+            assert "Traceback" not in err, mutated
 
         runs()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mptspec import (
     Mode,
     NoFitError,
+    NumericRangeError,
     SpectralModel,
     SweepData,
     SymTensor3,
@@ -317,6 +318,23 @@ class TestFitDominant:
             fit_dominant(SweepData(nu, np.zeros(nu.size)), "I")
         with pytest.raises(NoFitError):
             fit_dominant(SweepData(nu[:3], np.ones(3)), "I")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("first", [5e-324, 1e-101])
+    def test_nu_outside_float_safe_range(self, first):
+        # the screening grid reached rates whose squares underflow to zero
+        nu = np.concatenate([[0.0, first], default_fit_grid(50.0, points=12)[1:]])
+        with pytest.raises(NoFitError, match="within"):
+            fit_dominant(SweepData(nu, f_i(nu, 1.0, 5.0)), "I")
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_amplitude_is_range_error(self):
+        # a lone 1e308 spike: the fitted amplitude exceeds the float range
+        nu = default_fit_grid(47.0, points=12)
+        vals = f_r(nu, 1e-6, 5.0)
+        vals[1] = 1e308
+        with pytest.raises(NumericRangeError, match="float range"):
+            fit_dominant(SweepData(nu, vals), "R")
 
     def test_residual_curve_sign_convention(self):
         nu = default_fit_grid(50.0, points=60)

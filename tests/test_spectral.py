@@ -13,8 +13,12 @@ from mptspec import (
     InvalidInputError,
     Mode,
     NoDominantModeError,
+    NumericRangeError,
+    PoleResidueExpansion,
     Rotation3,
     SpectralModel,
+    SphereSpec,
+    SurrogateProblem,
     SymTensor3,
     assemble,
     assemble_dlog,
@@ -370,6 +374,96 @@ class TestCommutators:
         model = random_model(8, n_modes=3)
         z = commutator_Z(model, 1.3, kind="RI")
         assert np.abs(np.diag(z)).max() <= 1e-16 * max(np.abs(z).max(), 1e-300)
+
+
+def commutator_via_assemble(model, nu1, nu2=None, kind="RI"):
+    # the formula commutator_Z used before it read the spectral core itself:
+    # full assemble calls, then the dense matrices of the tensors
+    if kind == "RI":
+        r, i, _ = assemble(model, nu1)
+        a, b = r.matrix, i.matrix
+    else:
+        pick = 0 if kind == "RR" else 1
+        a, b = assemble(model, nu1)[pick].matrix, assemble(model, nu2)[pick].matrix
+    return a @ b - b @ a
+
+
+class TestCommutatorFromCore:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bit_identical_to_assemble_formula(self, seed):
+        model = random_model(seed, n_modes=1 + seed)
+        grid = np.geomspace(1e-4, 1e4, 25)
+        for nu1, nu2 in zip(grid, grid[::-1]):
+            for kind in ("RI", "RR", "II"):
+                got = commutator_Z(model, nu1, nu2, kind=kind)
+                assert np.array_equal(got, commutator_via_assemble(model, nu1, nu2, kind))
+
+    def test_does_not_call_assemble(self, monkeypatch):
+        import mptspec.spectral
+
+        def refuse(*args):
+            raise AssertionError("commutator_Z called assemble")
+
+        monkeypatch.setattr(mptspec.spectral, "assemble", refuse)
+        z = commutator_Z(random_model(2), 0.7, 3.0, kind="RR")
+        assert z.shape == (3, 3)
+
+
+# a size whose cube overflows and one whose cube underflows
+EXTREME_ALPHAS = [1e200, 1e-200, np.float64(1e200), 10**200]
+
+
+class TestScaleRule:
+    @pytest.mark.parametrize("alpha", EXTREME_ALPHAS, ids=repr)
+    def test_model_rejects_extreme_size(self, alpha):
+        with pytest.raises(InvalidInputError, match="normal floats"):
+            SpectralModel(alpha=alpha, sigma_star=1.0, n0=SymTensor3.zero(), modes=())
+
+    @pytest.mark.parametrize("alpha, sigma_star", [(1.0, 1e-310), (1e10, 1e308)])
+    def test_model_rejects_extreme_time_constant(self, alpha, sigma_star):
+        with pytest.raises(InvalidInputError, match="normal floats"):
+            SpectralModel(alpha=alpha, sigma_star=sigma_star, n0=SymTensor3.zero(), modes=())
+
+    @pytest.mark.parametrize("alpha", [1e200, 1e-200])
+    def test_every_constructor_shares_the_rule(self, alpha):
+        grid = FrequencyGrid(np.array([1.0]))
+        residue = (SymTensor3.isotropic(-1.0),)
+        constructors = (
+            lambda: SpectralModel(alpha, 1.0, SymTensor3.zero(), ()),
+            lambda: SphereSpec(alpha, 1.5, 1.0),
+            lambda: PoleResidueExpansion(
+                SymTensor3.zero(), np.array([-1.0]), residue, np.array([0]), alpha, 1.0
+            ),
+            lambda: SurrogateProblem(2, np.eye(2), np.ones((2, 3)), alpha, 1.0, grid),
+        )
+        for build in constructors:
+            with pytest.raises(InvalidInputError, match="normal floats"):
+                build()
+
+    def test_time_constant_unchanged(self):
+        model = random_model(0, alpha=0.01, sigma_star=5.96e6)
+        assert model.time_constant == 4.0e-7 * np.pi * 5.96e6 * 0.01**2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lams, coupling, n0", [
+        ((1e300,), 1e10, 0.0),  # one residue overflows
+        ((3.0, 3.5, 4.0), 0.9e154, 0.0),  # each is finite, their sum is not
+        ((4.0,), 0.5e154, 1.7e308),  # N0 + R overflows
+    ], ids=["residue", "sum", "n0"])
+    def test_overflowing_residues_rejected(self, lams, coupling, n0):
+        modes = tuple(Mode(lam, 1, np.array([[coupling, 0.0, 0.0]])) for lam in lams)
+        with pytest.raises(NumericRangeError, match="float range"):
+            SpectralModel(alpha=1.0, sigma_star=1.0, n0=SymTensor3.isotropic(n0),
+                          modes=modes)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_residues_accepted(self):
+        # two residues of 0.12e308 and 0.16e308 and N0 = 1e307 all fit
+        modes = tuple(Mode(lam, 1, np.array([[0.4e154, 0.0, 0.0]])) for lam in (3.0, 4.0))
+        model = SpectralModel(alpha=1.0, sigma_star=1.0, n0=SymTensor3.isotropic(1e307),
+                              modes=modes)
+        _, _, m = assemble(model, 1e9)
+        assert m.real[0, 0] == pytest.approx(1e307 - 0.28e308)
 
 
 class TestRotationEquivariance:

@@ -1,6 +1,8 @@
 """Surrogate problem generation, direct solves and the identity battery."""
 
 import ast
+import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from mptspec import (
 )
 from mptspec.spectral import FrequencyGrid
 from mptspec.surrogate import SurrogateProblem, energy_tensors_alt
+from conftest import ORACLE_CASES
 
 
 class TestGenerate:
@@ -299,6 +302,33 @@ class TestVerifyIdentities:
         assert len(doc["checks"]) == len(report.checks)
         text = report.format_text()
         assert "result: PASS" in text
+
+
+# SHA-256 of the JSON list of to_dict() of the reports of _pinned_reports,
+# taken before the battery kept one record per check and commutator_Z read
+# the spectral core without assemble
+BATTERY_SHA256 = "8e288cfc469b2ddd32c3eef4cfcc7cc576d0f8cd05fdb44503462de488769c7b"
+
+
+def _pinned_reports():
+    # criterion 3's problems, the corrupted control and a single-mode problem
+    reports = [verify_identities(generate(*case), tol=1e-9) for case in ORACLE_CASES]
+    reports.append(verify_identities(generate(8, 11), corrupt_coupling=True))
+    reports.append(verify_identities(generate(2, 3, "clustered")))
+    return reports
+
+
+class TestReportBytes:
+    def test_battery_reports_pinned(self):
+        text = json.dumps([r.to_dict() for r in _pinned_reports()])
+        assert hashlib.sha256(text.encode()).hexdigest() == BATTERY_SHA256
+
+    @pytest.mark.parametrize("shape", ["linear", "clustered"])
+    def test_empty_positive_grid_reports_zero(self, shape):
+        report = verify_identities(generate(2, 3, shape), nu_grid=[0.0])
+        assert report.n_grid == 0
+        assert len(report.checks) == 9
+        assert all(c.max_violation == 0.0 and c.passed for c in report.checks)
 
 
 def _imports_scipy_linalg(node) -> bool:

@@ -58,6 +58,13 @@ class TestSymTensor3:
         t = SymTensor3(rng.standard_normal(6))
         assert np.array_equal(SymTensor3.from_matrix(t.matrix).coeffs, t.coeffs)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e308, 5e-324])
+    def test_extreme_matrix_round_trip(self, rng, scale):
+        # entries whose pairwise sums overflow, and subnormal ones
+        t = SymTensor3(np.clip(rng.standard_normal(6), -1.7, 1.7) * scale)
+        assert np.array_equal(SymTensor3.from_matrix(t.matrix).coeffs, t.coeffs)
+
 
 def squares_norm(t: SymTensor3) -> float:
     # the Frobenius norm as summed squares, the formula norm() keeps where

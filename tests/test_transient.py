@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mptspec import (
+    DomainError,
     InvalidInputError,
+    NumericRangeError,
+    SingularityError,
     Mode,
     SpectralModel,
     SphereSpec,
@@ -333,6 +336,61 @@ class TestTransientField:
             acc += s_n * mode_tensor(model, n).matrix
         d2g = dipole_green_hessian(x, z).matrix
         np.testing.assert_allclose(smooth_vec, d2g @ (acc @ np.asarray(h0)), rtol=1e-12)
+
+
+    def test_non_finite_background_rejected(self):
+        # returned [nan nan nan] before the checks of perturbed_field applied
+        with pytest.raises(InvalidInputError, match="background field must be finite"):
+            transient_field([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], two_mode_model(),
+                            [np.nan, 0.0, 0.0], "step", 1e-5)
+
+    def test_overflowing_field_is_range_error(self):
+        with pytest.raises(NumericRangeError):
+            transient_field([1e-100, 0.0, 0.0], [0.0, 0.0, 0.0], two_mode_model(),
+                            [1e300, 0.0, 0.0], "impulse", 1e-5)
+
+    def test_source_point_is_singular(self):
+        with pytest.raises(SingularityError):
+            transient_field([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], two_mode_model(),
+                            [1.0, 0.0, 0.0], "step", 1e-5)
+
+
+class TestSample:
+    def test_rows_bit_identical_to_term_by_term_sum(self):
+        model = sphere_spectral_model(SphereSpec(0.01, 1.5, 5.96e6), 30)
+        times = np.linspace(-1e-4, 2e-3, 400)
+        for kernel in (TransientKernel.step(model), TransientKernel.impulse(model)):
+            rows = kernel.sample(times)
+            assert rows.shape == (times.size, 6)
+            for t, row in zip(times, rows):
+                want = np.zeros(6)
+                if t >= 0.0:
+                    want = kernel.steady.coeffs.copy()
+                    for s_n, b_n in kernel.exp_terms:
+                        want = want + np.exp(s_n * t) * b_n.coeffs
+                assert np.array_equal(row, want)
+                assert np.array_equal(kernel.smooth_at(t).coeffs, row)
+
+    @pytest.mark.filterwarnings("error")
+    def test_far_negative_times_are_zero(self):
+        kernel = TransientKernel.step(two_mode_model())
+        rows = kernel.sample([-1e300, -1.0, -0.0])
+        assert np.array_equal(rows[:2], np.zeros((2, 6)))
+        assert np.array_equal(rows[2], kernel.sample([0.0])[0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_time_is_domain_error(self, bad):
+        model = two_mode_model()
+        kernel = TransientKernel.impulse(model)
+        calls = (
+            lambda: kernel.sample([0.0, bad]),
+            lambda: kernel.smooth_at(bad),
+            lambda: step_kernel(model, bad),
+            lambda: impulse_kernel(model, bad),
+        )
+        for call in calls:
+            with pytest.raises(DomainError, match="finite"):
+                call()
 
 
 class TestLaplaceConsistency:
