@@ -329,10 +329,7 @@ def main(argv=None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, MptError) as exc:
+    except (_UsageError, OSError, MptError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,12 +19,12 @@ and point at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, PoleProximityError
-from .spectral import MU0, SpectralModel, _check_scale, mode_tensor
+from .errors import DomainError, InvalidInputError, NumericRangeError, PoleProximityError
+from .spectral import MU0, SpectralModel, _check_scale, _decay_rates, mode_tensor
 from .tensors import ComplexSymTensor3, SymTensor3, unpack
 
 POLE_PROXIMITY_REL = 1e-12
@@ -60,9 +60,11 @@ class PoleResidueExpansion:
         _check_scale(self.alpha, self.sigma_star)
         packed = np.array([a.coeffs for a in self.residues]).reshape(poles.size, 6)
         packed.setflags(write=False)
-        mats = unpack(packed)
-        top = np.linalg.eigvalsh(mats).max(axis=1, initial=-np.inf)
-        norm = np.linalg.norm(mats, axis=(1, 2))
+        # the spectral norm from the eigenvalues; a Frobenius norm would
+        # overflow for residues near 1e300
+        eig = np.linalg.eigvalsh(unpack(packed))
+        top = eig.max(axis=1, initial=-np.inf)
+        norm = np.abs(eig).max(axis=1, initial=0.0)
         bad = np.flatnonzero(top > 1e-10 * np.maximum(norm, 1e-300))
         if bad.size:
             k = bad[0]
@@ -93,13 +95,11 @@ def from_model(model: SpectralModel, truncation: str = "zero") -> PoleResidueExp
     expansion is evaluated by default), "auto" applies
     :func:`select_truncation` per mode for far-field complex-plane use.
     """
-    tau = model.time_constant
-    poles = np.array([-m.lam / tau for m in model.modes])
-    residues = tuple(mode_tensor(model, n) for n in range(len(model.modes)))
+    poles = _decay_rates(model)
     expansion = PoleResidueExpansion(
         n0=model.n0,
         poles_s=poles,
-        residues=residues,
+        residues=tuple(mode_tensor(model, n) for n in range(poles.size)),
         nv=np.zeros(poles.size, dtype=int),
         alpha=model.alpha,
         sigma_star=model.sigma_star,
@@ -110,9 +110,7 @@ def from_model(model: SpectralModel, truncation: str = "zero") -> PoleResidueExp
         nv = np.array(
             [select_truncation(expansion, n) for n in range(expansion.n_poles())]
         )
-        return PoleResidueExpansion(
-            model.n0, poles, residues, nv, model.alpha, model.sigma_star
-        )
+        return replace(expansion, nv=nv)
     raise InvalidInputError(f"unknown truncation policy {truncation!r}")
 
 
@@ -170,25 +168,29 @@ def evaluate(
     """Evaluate the expansion at a complex point in the 'w' or 's' variable.
 
     Refuses points within a relative distance 1e-12 of any pole, where
-    floating-point cancellation dominates.  With ``return_partial_sums`` the
-    running entrywise partial sums (after each pole term) are returned as a
-    second value for convergence monitoring; the full value is then the last
-    of them.
+    floating-point cancellation dominates, and raises NumericRangeError
+    where a term or the value leaves the float range.  With
+    ``return_partial_sums`` the running entrywise partial sums (after each
+    pole term) are returned as a second value for convergence monitoring;
+    the full value is then the last of them.
     """
     point = complex(point)
     if not np.isfinite(point):
         raise DomainError(f"evaluation point must be finite, got {point}")
-    if variable == "w":
-        w = point
-    elif variable == "s":
-        w = -point * expansion.scale_w_per_s
-    else:
+    if variable not in ("w", "s"):
         raise InvalidInputError(f"unknown variable {variable!r}")
-    coeff = _terms(expansion.poles_w, expansion.nv, np.array([w]))[0]
     n0 = expansion.n0.coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = point if variable == "w" else -point * expansion.scale_w_per_s
+        coeff = _terms(expansion.poles_w, expansion.nv, np.array([w]))[0]
+        if return_partial_sums:
+            sums = n0 + np.cumsum(coeff[:, None] * expansion._packed, axis=0)
+        else:
+            sums = n0 + coeff @ expansion._packed
+    if not np.isfinite(sums).all():
+        raise NumericRangeError("the expansion leaves the float range at this point")
     if not return_partial_sums:
-        return _complex_tensor(n0 + coeff @ expansion._packed)
-    sums = n0 + np.cumsum(coeff[:, None] * expansion._packed, axis=0)
+        return _complex_tensor(sums)
     partials = [_complex_tensor(row) for row in sums]
     full = partials[-1] if partials else _complex_tensor(n0.astype(complex))
     return full, partials

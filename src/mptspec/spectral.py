@@ -263,6 +263,21 @@ def _core(model: SpectralModel) -> tuple[np.ndarray, np.ndarray]:
     return core
 
 
+def _decay_rates(model: SpectralModel) -> np.ndarray:
+    """Decay rates s_n = -lam_n / time_constant, shape (n,).
+
+    Raises NumericRangeError unless every rate is finite and below 0: an
+    eigenvalue whose quotient overflows to -inf, or underflows to -0.0, has
+    no decay rate.
+    """
+    lams, _ = _core(model)
+    with np.errstate(over="ignore", under="ignore"):
+        rates = -lams / model.time_constant
+    if not np.all(np.isfinite(rates) & (rates < 0.0)):
+        raise NumericRangeError("decay rates lam_n / time_constant leave the float range")
+    return rates
+
+
 def _contract(weights: np.ndarray, a: np.ndarray) -> np.ndarray:
     # -sum_n w_n A_n for each row of weights; 0.0 - keeps exact zero
     # coefficients at +0.0, as the sum from a zero start gives them
@@ -335,6 +350,7 @@ def commutator_Z(
     Diagonal entries vanish identically; single-mode models give zero.
     R and I come from the same contraction of the cached core that
     :func:`assemble` makes, as dense 3x3 matrices, with no tensor objects.
+    Only a commutator beyond the float range raises NumericRangeError.
     """
     if _finite(nu1, "nu1") <= 0.0:
         raise DomainError("nu1 must be positive")
@@ -350,7 +366,18 @@ def commutator_Z(
     else:
         raise InvalidInputError(f"unknown commutator kind {kind!r}")
     a, b = unpack(rows)
-    return a @ b - b @ a
+    peaks = np.abs(rows).max(axis=1).tolist()
+    # |a @ b - b @ a| < 8 max|a| max|b| entrywise, so below 2^1020 nothing overflows
+    if peaks[0] * peaks[1] < 2.0**1020:
+        return a @ b - b @ a
+    # a power of two scales each factor to a largest entry below 1, exactly,
+    # so the products cannot overflow and in-range results do not move
+    ea, eb = (math.frexp(peak)[1] for peak in peaks)
+    a, b = np.ldexp(a, -ea), np.ldexp(b, -eb)
+    z, shift = a @ b - b @ a, ea + eb
+    if np.abs(z).max() >= 2.0 ** (1024 - shift):  # now |z| < 8 and shift > 1020
+        raise NumericRangeError("commutator exceeds the float range")
+    return np.ldexp(z, shift)
 
 
 def modes_from_eigenvalues(

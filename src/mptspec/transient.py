@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError
-from .spectral import SpectralModel, _core, limit_tensors, mode_tensor
+from .errors import DomainError, InvalidInputError, NumericRangeError
+from .spectral import SpectralModel, _core, _decay_rates, limit_tensors, mode_tensor
 from .tensors import SymTensor3, perturbed_field
 
 
@@ -43,11 +43,8 @@ class TransientKernel:
 
     @classmethod
     def step(cls, model: SpectralModel) -> "TransientKernel":
-        tau = model.time_constant
-        terms = tuple(
-            (-model.modes[n].lam / tau, mode_tensor(model, n))
-            for n in range(len(model.modes))
-        )
+        rates = _decay_rates(model).tolist()
+        terms = tuple((s_n, mode_tensor(model, n)) for n, s_n in enumerate(rates))
         return cls(
             steady=model.n0,
             delta_part=SymTensor3.zero(),
@@ -57,16 +54,20 @@ class TransientKernel:
 
     @classmethod
     def impulse(cls, model: SpectralModel) -> "TransientKernel":
-        tau = model.time_constant
+        rates = _decay_rates(model)
         _, minf = limit_tensors(model)
-        terms = []
-        for n in range(len(model.modes)):
-            s_n = -model.modes[n].lam / tau
-            terms.append((s_n, s_n * mode_tensor(model, n)))
+        # sum_n |s_n| max|A_n| bounds every sample, since exp(s_n t) <= 1
+        with np.errstate(over="ignore"):
+            bound = -rates @ np.abs(_core(model)[1]).max(axis=1, initial=0.0)
+        if not bound < np.inf:
+            raise NumericRangeError("impulse kernel terms s_n A_n exceed the float range")
+        terms = tuple(
+            (s_n, s_n * mode_tensor(model, n)) for n, s_n in enumerate(rates.tolist())
+        )
         return cls(
             steady=SymTensor3.zero(),
             delta_part=minf,
-            exp_terms=tuple(terms),
+            exp_terms=terms,
             truncation_bound=model.tail_bound or 0.0,
         )
 
@@ -140,12 +141,10 @@ class Waveform:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
-    def __call__(self, t: float) -> float:
-        if t < self.times[0]:
-            return 0.0
-        if t >= self.times[-1]:
-            return float(self.values[-1])
-        return float(np.interp(t, self.times, self.values))
+    def __call__(self, t):
+        """u(t), elementwise over an array t; a float for a scalar t."""
+        u = np.interp(t, self.times, self.values, left=0.0)
+        return float(u) if np.ndim(u) == 0 else u
 
     def segments_until(self, t: float):
         """Linear pieces (t0, t1, a, b) with u(tau) = a + b*tau covering (first, t].
@@ -198,20 +197,18 @@ def convolve_excitation(
         raise InvalidInputError("query times must be a finite, nondecreasing 1-D array")
     if t_query.size == 0:
         return []
-    lams, residues = _core(model)
-    rates = -lams / model.time_constant
-    if not np.all(np.isfinite(rates) & (rates < 0.0)):
-        raise InvalidInputError("decay rates must be finite and negative")
+    rates = _decay_rates(model)
+    _, residues = _core(model)
     _, minf = limit_tensors(model)
 
-    times, values = excitation.times, excitation.values
+    times = excitation.times
     # pieces run contiguously from the first sample to the last query time
     pieces = excitation.segments_until(t_query[-1])
     _, ends, _, piece_slopes = np.reshape(pieces, (-1, 4)).T
     grid = np.union1d(np.append(times[0], ends), t_query[t_query > times[0]])
     h = np.diff(grid)
     b = piece_slopes[np.searchsorted(ends, grid[:-1], side="right")]
-    u0 = np.interp(grid[:-1], times, values)
+    u0 = excitation(grid[:-1])
 
     z = np.multiply.outer(h, rates)
     em1 = np.expm1(z)
@@ -223,8 +220,7 @@ def convolve_excitation(
         states[j + 1] += decay[j] * states[j]
 
     # queries at or before the first sample map to grid[0], where x = 0
-    u_query = np.where(t_query < times[0], 0.0, np.interp(t_query, times, values))
-    coeffs = np.outer(u_query, minf.coeffs)
+    coeffs = np.outer(excitation(t_query), minf.coeffs)
     coeffs += states[np.searchsorted(grid, t_query)] @ residues
     return [SymTensor3(row) for row in coeffs]
 

@@ -7,6 +7,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -298,6 +300,68 @@ class TestExtremeModelScale:
         assert "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def range_models(tmp_path_factory):
+    """Model files past the float range of a decay rate or of a commutator."""
+    root = tmp_path_factory.mktemp("range")
+    doc = model_to_document(sphere_spectral_model(SphereSpec(0.01, 2.0, 5.96e6), 30))
+    docs = {name: copy.deepcopy(doc) for name in ("overflow", "underflow", "commuting")}
+    # lam / time_constant overflows to -inf, or underflows to -0.0
+    docs["overflow"]["alpha_m"] = 1e-100
+    docs["overflow"]["modes"][-1]["lambda"] = 1e308
+    docs["underflow"].update(alpha_m=1e100, sigma_star_S_per_m=1e100)
+    docs["underflow"]["modes"][0]["lambda"] = 5e-324
+    # residues near 1e300, so the commutator's products overflow
+    docs["commuting"]["alpha_m"] = 1e100
+    docs["anisotropic"] = model_to_document(random_model(4, n_modes=3, alpha=1e100))
+    paths = {name: str(root / f"{name}.json") for name in docs}
+    for name, path in paths.items():
+        Path(path).write_text(json.dumps(docs[name]))
+    return paths
+
+
+class TestRangeCli:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("edge", ["overflow", "underflow"])
+    @pytest.mark.parametrize("command", [
+        ["transient", "--kind", "impulse", "--tmax", "1e-3", "--points", "5", "--out"],
+        ["transient", "--kind", "step", "--tmax", "1e-3", "--points", "5", "--out"],
+        ["ml-eval", "--re", "1", "--im", "1"],
+    ], ids=["impulse", "step", "ml-eval"])
+    def test_out_of_range_decay_rate_exits_one(self, edge, command, range_models,
+                                               tmp_path):
+        argv = [command[0], "--model", range_models[edge], *command[1:]]
+        if argv[-1] == "--out":
+            argv.append(str(tmp_path / "out.csv"))
+        code, err = _run_quietly(argv)
+        assert code == 1
+        assert err == "error: decay rates lam_n / time_constant leave the float range\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("edge", ["overflow", "underflow"])
+    def test_sweep_needs_no_decay_rate(self, edge, range_models, tmp_path):
+        argv = ["sweep", "--model", range_models[edge], "--fmax", "1e4", "--points", "5",
+                "--out", str(tmp_path / "s.csv")]
+        assert _run_quietly(argv) == (0, "")
+
+    @pytest.mark.filterwarnings("error")
+    def test_commuting_tensors_past_the_product_range(self, range_models, tmp_path):
+        out = tmp_path / "c.csv"
+        argv = ["commutator", "--model", range_models["commuting"], "--fmin", "1",
+                "--fmax", "1e3", "--points", "3", "--out", str(out)]
+        assert _run_quietly(argv) == (0, "")
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows.shape == (3, 6) and np.all(rows[:, 3:] == 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_commutator_past_the_float_range_exits_one(self, range_models, tmp_path):
+        argv = ["commutator", "--model", range_models["anisotropic"], "--fmin", "1e-300",
+                "--fmax", "1e-290", "--points", "3", "--out", str(tmp_path / "c.csv")]
+        code, err = _run_quietly(argv)
+        assert code == 1
+        assert err == "error: commutator exceeds the float range\n"
+
+
 class TestTransientCli:
     def test_step_long_time_rows_reach_n0(self, tmp_path, sphere_model_path):
         model = load_model(sphere_model_path)
@@ -519,9 +583,19 @@ def _cli_table_outputs(tmp_path, capsys) -> dict:
     for argv in runs:
         assert main(argv) == 0
     capsys.readouterr()
-    assert main(["fit", "--sweep", p["sphere.csv"], "--numax", "47.06"]) == 0
     out = {name: (tmp_path / name).read_bytes() for name in p}
-    out["fit stdout"] = capsys.readouterr().out.encode()
+    stdout_runs = {
+        "fit stdout": ["fit", "--sweep", p["sphere.csv"], "--numax", "47.06"],
+        "ml-eval w stdout": ["ml-eval", "--model", p["aniso.json"], "--re", "3",
+                             "--im", "4"],
+        "ml-eval s stdout": ["ml-eval", "--model", p["aniso.json"], "--re=-2e3",
+                             "--im", "500", "--variable", "s"],
+        "field stdout": ["field", "--model", p["aniso.json"], "--x", "0.3", "-0.1", "0.2",
+                         "--z", "0", "0.05", "0", "--h0", "1", "-2", "0.5", "--f", "2e3"],
+    }
+    for name, argv in stdout_runs.items():
+        assert main(argv) == 0
+        out[name] = capsys.readouterr().out.encode()
     return out
 
 
@@ -529,7 +603,8 @@ def _cli_table_outputs(tmp_path, capsys) -> dict:
 # _cli_table_outputs, taken before the tables shared one CSV writer; the fit
 # outputs (fit.csv, fit.json, res.csv, fit stdout) retaken when the fit moved
 # to a 1-D search over the rate, which moved its rates by at most 5.5e-12
-# relative
+# relative; the ml-eval and field stdout taken before the decay rates were
+# formed in one place
 CLI_TABLE_SHA256 = {
     "m.json": "e0871d10c938f9595418e749b7862768ad7b19af14fc5bad730d8533936e39a9",
     "sphere.csv": "c31955a384c52d9cc99141c553cdccf19d7210f23101ffd3bf8be70e5850e234",
@@ -545,6 +620,9 @@ CLI_TABLE_SHA256 = {
     "ri.csv": "887165d64c204566f957201584c3fa243bce99fe0ec0f00811474b30622f7344",
     "rr.csv": "f2c8272b36b92224272043132502e370c789bbba2adbe3a41d6e384a0ea2dfcb",
     "fit stdout": "fc4d211b9b60ddae6ffa419dbfc9a8cee89d42ff635b610b7a47f10775172e40",
+    "ml-eval w stdout": "92cd6a20b01276115df1b927baebbf008c5fd12f56e394d1c75dcb441c2897dd",
+    "ml-eval s stdout": "2a983200ccb32c27c303b299318465f2363bd4e65f4f5efb71fb61ab54e9d8ed",
+    "field stdout": "f0074c160718fdbb13f057c7c56383e4bd7d5c6899d22f5f618d09ed43699371",
 }
 
 
@@ -707,6 +785,21 @@ class TestSharedParser:
         assert cli._shared_parser() is cli._shared_parser()
 
 
+class TestPackageProcess:
+    # the package started as a program, with every warning an error
+    @pytest.mark.parametrize("argv, code, err", [
+        (["oracle", "--dim", "3", "--seed", "1"], 0, ""),
+        (["oracle", "--dim", "3"], 1, "error: the following arguments are required: --seed\n"),
+    ], ids=["oracle", "usage error"])
+    def test_python_m_mptspec(self, argv, code, err):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-W", "error", "-m", "mptspec", *argv],
+                             capture_output=True, text=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert (run.returncode, run.stderr) == (code, err)
+
+
 # the argv fuzz: options of every subcommand with values from small sets.
 # Sizes stay small, so that no run asks for a large allocation.
 SPECIAL = ["nan", "inf", "-inf", "0", "-1"]
@@ -811,8 +904,9 @@ class TestArgvFuzz:
 # the file fuzz: model documents and sweep CSVs with values swapped for
 # extreme, mistyped or nested ones, and keys dropped.  Every list is short,
 # so that no input asks for a large allocation.
-FILE_VALUES = [1e200, -1e200, 1e-200, 1e308, -1e308, 1e-308, 5e-324, 0, -1, 0.0, 2,
-               True, False, "x", "1e-3", None, [], [1.0], [[1.0, 2.0], [3.0]], {}]
+FILE_VALUES = [1e200, -1e200, 1e-200, 1e100, 1e-100, 1e308, -1e308, 1e-308, 5e-324, 0,
+               -1, 0.0, 2, True, False, "x", "1e-3", None, [], [1.0],
+               [[1.0, 2.0], [3.0]], {}]
 CSV_VALUES = ["1e200", "-1e200", "1e-200", "1e308", "-1e308", "1e-308", "5e-324", "0",
               "-0", "-1", "nan", "inf", "true", "null", "x", "", "[1]"]
 
@@ -877,6 +971,19 @@ class TestFileFuzz:
             model_to_document(random_model(4, n_modes=2)),
         ]
         first, second, out = (str(tmp_path / n) for n in ("a.json", "b.json", "s.csv"))
+        # every subcommand that reads a model, after it loaded and round-tripped
+        commands = [
+            ["sweep", "--fmax", "1e4", "--points", "5", "--out", out],
+            ["commutator", "--fmin", "1", "--fmax", "1e3", "--points", "3", "--out", out],
+            ["commutator", "--kind", "RR", "--f2", "300", "--fmin", "1", "--fmax", "1e3",
+             "--points", "3", "--out", out],
+            ["transient", "--kind", "step", "--tmax", "1e-3", "--points", "5", "--out", out],
+            ["transient", "--kind", "impulse", "--tmax", "1e-3", "--points", "5",
+             "--out", out],
+            ["field", "--x", "0.3", "0", "0", "--z", "0", "0", "0", "--h0", "0", "0", "1",
+             "--f", "1e3"],
+            ["ml-eval", "--re", "1", "--im", "1"],
+        ]
 
         @self.FUZZ
         @given(mutated_document(documents))
@@ -888,10 +995,10 @@ class TestFileFuzz:
             save_model(model, first)
             save_model(load_model(first), second)
             assert Path(first).read_bytes() == Path(second).read_bytes()
-            code, err = _run_quietly(["sweep", "--model", first, "--fmax", "1e4",
-                                      "--points", "5", "--out", out])
-            assert code in (0, 1), doc
-            assert "Traceback" not in err, doc
+            for command in commands:
+                code, err = _run_quietly([command[0], "--model", first, *command[1:]])
+                assert code in (0, 1), (command[0], doc)
+                assert "Traceback" not in err, (command[0], doc)
 
         runs()
 

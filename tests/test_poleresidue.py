@@ -11,6 +11,7 @@ from mptspec import (
     DomainError,
     InvalidInputError,
     Mode,
+    NumericRangeError,
     PoleProximityError,
     SpectralModel,
     SphereSpec,
@@ -435,6 +436,28 @@ class TestInputChecks:
         }
         with pytest.raises(InvalidInputError, match="finite"):
             PoleResidueExpansion(**{**args, **kwargs})
+
+
+class TestFloatRange:
+    @pytest.mark.filterwarnings("error")
+    def test_residues_near_1e300_accepted(self):
+        # the squares of a Frobenius norm of these residues overflow, so the
+        # semidefinite check must not form one
+        model = random_model(4, n_modes=3, alpha=1e100)
+        value = evaluate(from_model(model), 1.0 + 1.0j)
+        assert np.all(np.isfinite(value.real.coeffs))
+
+    @pytest.mark.filterwarnings("error")
+    def test_values_past_the_float_range_refused(self):
+        # a subnormal pole lam = 5e-324: w / lam overflows at |w| = 1
+        expansion = expansion_with_residues([5e-324, 4.0], [SymTensor3.isotropic(-1.0)] * 2)
+        with pytest.raises(NumericRangeError, match="float range"):
+            evaluate(expansion, 1.0 + 1.0j)
+        # residues of -1e300, and a point 1e-9 from a pole: the term is 1e9
+        expansion = expansion_with_residues([2.0, 4.0], [SymTensor3.isotropic(-1e300)] * 2)
+        for partial_sums in (False, True):
+            with pytest.raises(NumericRangeError, match="float range"):
+                evaluate(expansion, 2.0 + 2e-9, return_partial_sums=partial_sums)
 
 
 class TestContourOnAutoExpansions:

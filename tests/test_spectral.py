@@ -1,7 +1,9 @@
 """Spectral model assembly, derivatives, limits and commutators."""
 
+import copy
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,20 +22,26 @@ from mptspec import (
     SphereSpec,
     SurrogateProblem,
     SymTensor3,
+    TransientKernel,
+    Waveform,
     assemble,
     assemble_dlog,
     beta,
     beta_dlog,
     commutator_Z,
+    convolve_excitation,
     dominant_mode,
     eigen_sym3,
+    from_model,
     limit_tensors,
     mode_tensor,
     modes_from_eigenvalues,
     offdiag_bound_report,
     rotate_model,
     rotate_tensor,
+    sphere_spectral_model,
 )
+from mptspec.modelio import document_to_model, model_to_document
 from mptspec.spectral import is_number
 from conftest import random_model
 
@@ -374,6 +382,85 @@ class TestCommutators:
         model = random_model(8, n_modes=3)
         z = commutator_Z(model, 1.3, kind="RI")
         assert np.abs(np.diag(z)).max() <= 1e-16 * max(np.abs(z).max(), 1e-300)
+
+
+class TestCommutatorRange:
+    @pytest.mark.filterwarnings("error")
+    def test_commuting_tensors_past_the_product_range(self):
+        # residues near 1e300, whose products a @ b overflow before the
+        # difference is taken
+        modes = (
+            Mode(1.0, 1, np.array([[1.0, 0.0, 0.0]])),
+            Mode(4.0, 1, np.array([[0.0, 2.0, 0.0]])),
+        )
+        model = SpectralModel(alpha=1e100, sigma_star=1.0, n0=SymTensor3.zero(),
+                              modes=modes)
+        for kind in ("RI", "RR", "II"):
+            assert np.abs(commutator_Z(model, 0.5, 3.0, kind=kind)).max() == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_in_range_commutator_of_overflowing_products(self):
+        # one residue of -2.5e299 on the x axis, one of order 1 off it: the
+        # products reach 1e598, the commutator only about 1e298
+        modes = (
+            Mode(1.0, 1, np.array([[1e150, 0.0, 0.0]])),
+            Mode(4.0, 1, np.array([[0.3, 0.5, -0.2]])),
+        )
+        model = SpectralModel(alpha=1.0, sigma_star=1.0, n0=SymTensor3.zero(),
+                              modes=modes)
+        r, i, _ = assemble(model, 2.0)
+        a, b = (mpmath.matrix(t.matrix.tolist()) for t in (r, i))
+        want = np.array((a * b - b * a).tolist(), dtype=float)
+        got = commutator_Z(model, 2.0)
+        assert np.abs(want).max() > 1e297
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.filterwarnings("error")
+    def test_commutator_past_the_float_range_refused(self):
+        model = random_model(4, n_modes=3, alpha=1e100)
+        nu = float(model.nu_from_omega(2.0 * np.pi * 1e-295))
+        with pytest.raises(NumericRangeError, match="commutator exceeds"):
+            commutator_Z(model, nu)
+
+
+def _rate_edge_models() -> dict:
+    # the sphere model with one decay rate lam / time_constant out of range:
+    # overflowing to -inf, or underflowing to -0.0
+    doc = model_to_document(sphere_spectral_model(SphereSpec(0.01, 2.0, 5.96e6), 30))
+    over, under = copy.deepcopy(doc), copy.deepcopy(doc)
+    over["alpha_m"] = 1e-100
+    over["modes"][-1]["lambda"] = 1e308
+    under.update(alpha_m=1e100, sigma_star_S_per_m=1e100)
+    under["modes"][0]["lambda"] = 5e-324
+    return {"overflow": document_to_model(over), "underflow": document_to_model(under)}
+
+
+RATE_EDGE_MODELS = _rate_edge_models()
+STEP_WAVE = Waveform(np.array([0.0, 1e-3]), np.array([0.0, 1.0]))
+RATE_USERS = {
+    "step": TransientKernel.step,
+    "impulse": TransientKernel.impulse,
+    "convolve": lambda m: convolve_excitation(m, STEP_WAVE, np.array([5e-4, 2e-3])),
+    "from_model zero": lambda m: from_model(m, "zero"),
+    "from_model auto": lambda m: from_model(m, "auto"),
+}
+
+
+class TestDecayRateRule:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("edge", sorted(RATE_EDGE_MODELS))
+    @pytest.mark.parametrize("use", sorted(RATE_USERS))
+    def test_out_of_range_rate_refused(self, use, edge):
+        with pytest.raises(NumericRangeError, match="decay rates"):
+            RATE_USERS[use](RATE_EDGE_MODELS[edge])
+
+    def test_every_user_reads_the_same_rates(self):
+        model = random_model(6, n_modes=4)
+        want = [-m.lam / model.time_constant for m in model.modes]
+        for kernel in (TransientKernel.step(model), TransientKernel.impulse(model)):
+            assert [s for s, _ in kernel.exp_terms] == want
+        for truncation in ("zero", "auto"):
+            assert from_model(model, truncation).poles_s.tolist() == want
 
 
 def commutator_via_assemble(model, nu1, nu2=None, kind="RI"):

@@ -455,12 +455,37 @@ class TestKernelValidation:
             TransientKernel.step(model).slowest_rate()
 
 
+class TestImpulseRange:
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_impulse_terms_refused(self):
+        # a residue near 1e194 and a rate near -1e203: each is in range, and
+        # the step kernel is too, but their product s_n A_n is not
+        modes = (
+            Mode(3.0, 1, np.array([[1.0, 0.5, 0.0]])),
+            Mode(1e200, 1, np.array([[0.5, -1.5, 2.25]])),
+        )
+        model = SpectralModel(alpha=0.01, sigma_star=5.96e6, n0=SymTensor3.zero(),
+                              modes=modes)
+        assert np.all(np.isfinite(TransientKernel.step(model).sample([0.0, 1.0])))
+        with pytest.raises(NumericRangeError, match="impulse kernel terms"):
+            TransientKernel.impulse(model)
+
+
 class TestWaveformSemantics:
     def test_zero_before_first_sample_held_after_last(self):
         wave = Waveform(np.array([1.0, 2.0, 3.0]), np.array([0.5, 1.5, -1.0]))
         assert wave(0.5) == 0.0
         assert wave(1.5) == pytest.approx(1.0)
         assert wave(10.0) == -1.0  # constant extrapolation of the last value
+
+    def test_elementwise_call_matches_scalar_calls(self):
+        wave = Waveform(np.array([1.0, 2.0, 3.0]), np.array([0.5, 1.5, -1.0]))
+        t = np.array([0.5, 1.0, 1.5, 2.0, 2.9, 3.0, 10.0])
+        values = wave(t)
+        assert isinstance(values, np.ndarray) and values.shape == t.shape
+        scalars = [wave(float(x)) for x in t]
+        assert all(type(u) is float for u in scalars)
+        assert values.tolist() == scalars
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
