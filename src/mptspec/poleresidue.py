@@ -60,12 +60,12 @@ class PoleResidueExpansion:
         _check_scale(self.alpha, self.sigma_star)
         packed = np.array([a.coeffs for a in self.residues]).reshape(poles.size, 6)
         packed.setflags(write=False)
-        # the spectral norm from the eigenvalues; a Frobenius norm would
-        # overflow for residues near 1e300
+        # half the Frobenius norm, from the eigenvalues: hypot forms no squares
+        # and sqrt(3)/2 < 1, so it stays finite for every finite residue
         eig = np.linalg.eigvalsh(unpack(packed))
         top = eig.max(axis=1, initial=-np.inf)
-        norm = np.abs(eig).max(axis=1, initial=0.0)
-        bad = np.flatnonzero(top > 1e-10 * np.maximum(norm, 1e-300))
+        half = np.hypot.reduce(eig / 2.0, axis=1)
+        bad = np.flatnonzero(top > 2e-10 * np.maximum(half, 0.5e-300))
         if bad.size:
             k = bad[0]
             raise InvalidInputError(

@@ -365,17 +365,14 @@ def commutator_Z(
         rows = np.stack((_packed_ri(model, nu1)[pick], _packed_ri(model, nu2)[pick]))
     else:
         raise InvalidInputError(f"unknown commutator kind {kind!r}")
-    a, b = unpack(rows)
-    peaks = np.abs(rows).max(axis=1).tolist()
-    # |a @ b - b @ a| < 8 max|a| max|b| entrywise, so below 2^1020 nothing overflows
-    if peaks[0] * peaks[1] < 2.0**1020:
-        return a @ b - b @ a
     # a power of two scales each factor to a largest entry below 1, exactly,
     # so the products cannot overflow and in-range results do not move
-    ea, eb = (math.frexp(peak)[1] for peak in peaks)
+    ea, eb = (math.frexp(peak)[1] for peak in np.abs(rows).max(axis=1).tolist())
+    a, b = unpack(rows)
     a, b = np.ldexp(a, -ea), np.ldexp(b, -eb)
     z, shift = a @ b - b @ a, ea + eb
-    if np.abs(z).max() >= 2.0 ** (1024 - shift):  # now |z| < 8 and shift > 1020
+    # |z| < 8, so only a shift above 1020 can carry it past the float range
+    if shift > 1020 and np.abs(z).max() >= 2.0 ** (1024 - shift):
         raise NumericRangeError("commutator exceeds the float range")
     return np.ldexp(z, shift)
 

@@ -56,11 +56,14 @@ class TransientKernel:
     def impulse(cls, model: SpectralModel) -> "TransientKernel":
         rates = _decay_rates(model)
         _, minf = limit_tensors(model)
-        # sum_n |s_n| max|A_n| bounds every sample, since exp(s_n t) <= 1
+        # sum_n |s_n| max|A_n| bounds every sample, since exp(s_n t) <= 1, and
+        # lies within a factor 3 of the value at t = 0 (the A_n are semidefinite)
         with np.errstate(over="ignore"):
             bound = -rates @ np.abs(_core(model)[1]).max(axis=1, initial=0.0)
         if not bound < np.inf:
-            raise NumericRangeError("impulse kernel terms s_n A_n exceed the float range")
+            raise NumericRangeError(
+                "impulse kernel at t = 0 (the sum of the terms s_n A_n) exceeds the float range"
+            )
         terms = tuple(
             (s_n, s_n * mode_tensor(model, n)) for n, s_n in enumerate(rates.tolist())
         )

@@ -389,6 +389,16 @@ class TestInputChecks:
         with pytest.raises(InvalidInputError, match="residue 1 is not negative"):
             expansion_with_residues([1.0, 4.0], tensors)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1.0, 1.5e308])
+    def test_semidefinite_tolerance_is_relative_to_frobenius_norm(self, scale):
+        # |A|_2 = scale and |A|_F = sqrt(2) scale: a top eigenvalue of
+        # 1.4e-10 scale lies between 1e-10 |A|_2 and 1e-10 |A|_F and passes;
+        # at 1.5e308 the Frobenius norm itself is past the float range
+        expansion_with_residues([1.0], [SymTensor3.diag(-scale, -scale, 1.4e-10 * scale)])
+        with pytest.raises(InvalidInputError, match="residue 0 is not negative"):
+            expansion_with_residues([1.0], [SymTensor3.diag(-scale, -scale, 1.42e-10 * scale)])
+
     def test_packed_residues_read_only(self):
         expansion = from_model(random_model(2))
         with pytest.raises(ValueError):
