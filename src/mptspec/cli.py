@@ -44,7 +44,7 @@ def _frequency_grid(fmin: float, fmax: float, points: int, log: bool) -> np.ndar
     if fmin > 0.0:
         return np.geomspace(fmin, fmax, points)
     # log spacing cannot reach 0: keep the exact zero row and span six decades
-    return np.concatenate([[0.0], np.geomspace(1e-6 * fmax, fmax, points - 1)])
+    return fitting.default_fit_grid(fmax, points)
 
 
 def _sweep_rows(model: SpectralModel, freq: np.ndarray):

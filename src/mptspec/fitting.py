@@ -30,7 +30,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import InvalidInputError, NoFitError, NumericRangeError
-from .spectral import SpectralModel, assemble
+from .spectral import SpectralModel, _frozen, assemble
 from .tensors import PACKED_LABELS
 
 _SCREEN_PER_DECADE = 4  # screening grid points per decade of rate
@@ -51,8 +51,7 @@ class SweepData:
     values: np.ndarray
 
     def __post_init__(self):
-        nu = np.asarray(self.nu, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
+        nu, vals = _frozen(self.nu), _frozen(self.values)
         if nu.ndim != 1 or vals.shape != nu.shape:
             raise InvalidInputError("nu and values must be matching 1-D arrays")
         if np.any(nu < 0.0) or np.any(np.diff(nu) <= 0.0):
@@ -202,8 +201,7 @@ def fit_dominant(data: SweepData, kind: str) -> FitResult:
         abs_resid = np.abs(v - amp * _unit_shape(kind, nu, rate)) * scale
     if not (np.isfinite(amp_out) and np.all(np.isfinite(abs_resid))):
         raise NumericRangeError("fitted amplitude or residual exceeds the float range")
-    residual_curve = -abs_resid if kind == "R" else abs_resid
-    residual_curve.setflags(write=False)
+    residual_curve = _frozen(-abs_resid if kind == "R" else abs_resid)
     return FitResult(
         kind=kind,
         amp=float(amp_out),

@@ -19,12 +19,20 @@ and point at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, NumericRangeError, PoleProximityError
-from .spectral import MU0, SpectralModel, _check_scale, _decay_rates, mode_tensor
+from .spectral import (
+    SpectralModel,
+    _check_scale,
+    _decay_rates,
+    _frozen,
+    _time_constant,
+    mode_tensor,
+)
 from .tensors import ComplexSymTensor3, SymTensor3, unpack
 
 POLE_PROXIMITY_REL = 1e-12
@@ -44,8 +52,7 @@ class PoleResidueExpansion:
     _packed: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        poles = np.asarray(self.poles_s, dtype=float)
-        nv = np.asarray(self.nv, dtype=int)
+        poles, nv = _frozen(self.poles_s), _frozen(self.nv, int)
         object.__setattr__(self, "poles_s", poles)
         object.__setattr__(self, "nv", nv)
         object.__setattr__(self, "residues", tuple(self.residues))
@@ -58,8 +65,7 @@ class PoleResidueExpansion:
         if np.any(nv < 0):
             raise InvalidInputError("Taylor-subtraction degrees must be >= 0")
         _check_scale(self.alpha, self.sigma_star)
-        packed = np.array([a.coeffs for a in self.residues]).reshape(poles.size, 6)
-        packed.setflags(write=False)
+        packed = _frozen([a.coeffs for a in self.residues]).reshape(poles.size, 6)
         # half the Frobenius norm, from the eigenvalues: hypot forms no squares
         # and sqrt(3)/2 < 1, so it stays finite for every finite residue
         eig = np.linalg.eigvalsh(unpack(packed))
@@ -76,7 +82,7 @@ class PoleResidueExpansion:
     @property
     def scale_w_per_s(self) -> float:
         """w = -s * mu0 * sigma_star * alpha^2."""
-        return MU0 * self.sigma_star * self.alpha**2
+        return _time_constant(self.alpha, self.sigma_star)
 
     @property
     def poles_w(self) -> np.ndarray:
@@ -128,11 +134,10 @@ def select_truncation(expansion: PoleResidueExpansion, n: int) -> int:
     m_n = np.abs(expansion._packed[n]).max()
     if m_n == 0.0:
         return 0
-    nv = int(np.ceil(np.log2(m_n) + (n + 1)))
-    # exact powers of two: ceil of the log can sit one below the requirement
-    while 2.0**nv < m_n * 2.0 ** (n + 1):
-        nv += 1
-    return max(nv, 0)
+    # m_n = f 2^e with 0.5 <= f < 1, so log2(m_n) lies in [e - 1, e), and at
+    # e - 1 exactly when f = 0.5; no power of two is formed, so none overflows
+    f, e = math.frexp(m_n)
+    return max(n + 1 + e - (f == 0.5), 0)
 
 
 def _terms(poles_w: np.ndarray, nv, w: np.ndarray) -> np.ndarray:
@@ -216,6 +221,7 @@ def contour_residue(
     Only the singular parts w/(w - lam_k) are integrated: N0 and the Taylor
     polynomials are entire and have no residue, but near a high pole their
     average would cancel only down to rounding of their (large) size.
+    Raises NumericRangeError where that average leaves the float range.
     """
     if not 0 <= n < expansion.n_poles():
         raise InvalidInputError(f"pole index {n} out of range")
@@ -226,5 +232,9 @@ def contour_residue(
     s_n = expansion.poles_s[n]
     theta = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
     offsets = rel_radius * abs(s_n) * np.exp(1j * theta)
-    coeff = _terms(expansion.poles_w, 0, -(s_n + offsets) * expansion.scale_w_per_s)
-    return unpack(offsets @ coeff @ expansion._packed / points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeff = _terms(expansion.poles_w, 0, -(s_n + offsets) * expansion.scale_w_per_s)
+        average = offsets @ coeff @ expansion._packed / points
+    if not np.isfinite(average).all():
+        raise NumericRangeError("the contour average leaves the float range")
+    return unpack(average)

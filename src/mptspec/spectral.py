@@ -14,7 +14,7 @@ evaluated at the dimensionless frequency nu = omega * sigma * mu0 * alpha^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Integral, Real
 
 import numpy as np
@@ -50,14 +50,27 @@ def is_number(x, kind=Real) -> bool:
         return False
 
 
+def _frozen(values, dtype=float) -> np.ndarray:
+    # a private read-only copy, so no caller can change a checked object or
+    # a cache built from it
+    a = np.array(values, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
+def _time_constant(alpha, sigma_star):
+    # mu0 sigma_star alpha^2, the seconds per unit of nu
+    return MU0 * sigma_star * alpha**2
+
+
 def _check_scale(alpha, sigma_star) -> None:
     # the one scale rule of every model-like object: alpha^3 scales each
-    # tensor and the time constant mu0 sigma_star alpha^2 each frequency
+    # tensor and the time constant each frequency
     if not all(is_number(x) and x > 0.0 for x in (alpha, sigma_star)):
         raise InvalidInputError("alpha and sigma_star must be positive and finite")
     try:
         with np.errstate(over="ignore"):
-            cube, tau = float(alpha**3), float(MU0 * sigma_star * alpha**2)
+            cube, tau = float(alpha**3), float(_time_constant(alpha, sigma_star))
     except OverflowError:  # a Python float's ** raises instead
         cube = tau = math.inf
     tiny = np.finfo(float).tiny
@@ -87,9 +100,7 @@ class Mode:
             raise InvalidInputError("multiplicity must be a positive integer")
         if not isinstance(self.dark, (bool, np.bool_)):
             raise InvalidInputError(f"dark must be a bool, got {self.dark!r}")
-        # a private read-only copy, so no caller can change a cached core
-        c = np.array(self.couplings, dtype=float)
-        c.setflags(write=False)
+        c = _frozen(self.couplings)
         if c.shape != (self.multiplicity, 3):
             raise InvalidInputError(
                 f"couplings must be {self.multiplicity}x3, got {c.shape}"
@@ -149,7 +160,7 @@ class SpectralModel:
     @property
     def time_constant(self) -> float:
         """mu0 * sigma_star * alpha^2, the seconds-per-unit-nu scale."""
-        return MU0 * self.sigma_star * self.alpha**2
+        return _time_constant(self.alpha, self.sigma_star)
 
     def nu_from_omega(self, omega):
         """Dimensionless frequency nu = omega * sigma * mu0 * alpha^2."""
@@ -167,7 +178,7 @@ class FrequencyGrid:
     kind: str = "nu"
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _frozen(self.values)
         if self.kind not in ("nu", "omega"):
             raise InvalidInputError("grid kind must be 'nu' or 'omega'")
         if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)):
@@ -254,10 +265,8 @@ def _core(model: SpectralModel) -> tuple[np.ndarray, np.ndarray]:
     core = model.__dict__.get("_core")
     if core is None:
         n = len(model.modes)
-        lams = np.array([m.lam for m in model.modes], dtype=float)
-        a = np.array([mode_tensor(model, k).coeffs for k in range(n)]).reshape(n, 6)
-        lams.setflags(write=False)
-        a.setflags(write=False)
+        lams = _frozen([m.lam for m in model.modes])
+        a = _frozen([mode_tensor(model, k).coeffs for k in range(n)]).reshape(n, 6)
         core = (lams, a)
         object.__setattr__(model, "_core", core)
     return core
@@ -393,32 +402,20 @@ def modes_from_eigenvalues(
         raise InvalidInputError("need matching eigenvalue list and (n, 3) couplings")
     if np.any(np.diff(lams) < 0.0):
         raise InvalidInputError("eigenvalues must be sorted ascending")
-    modes = []
-    start = 0
-    for k in range(1, lams.size + 1):
-        if k < lams.size and (lams[k] - lams[k - 1]) <= rel_gap * abs(lams[k]):
-            continue
-        group = slice(start, k)
-        lam = float(lams[group].mean())
-        c = rows[group]
-        dark = np.abs(c).max() == 0.0
-        modes.append(Mode(lam, k - start, c, dark=dark))
-        start = k
-    return tuple(modes)
+    # a group ends where the next eigenvalue lies more than rel_gap above it
+    ends = np.flatnonzero(np.diff(lams) > rel_gap * np.abs(lams[1:])) + 1
+    bounds = [0, *ends.tolist(), lams.size] if lams.size else []
+    return tuple(
+        Mode(float(lams[a:b].mean()), b - a, rows[a:b],
+             dark=np.abs(rows[a:b]).max() == 0.0)
+        for a, b in zip(bounds, bounds[1:])
+    )
 
 
 def rotate_model(model: SpectralModel, q: Rotation3) -> SpectralModel:
     """Model of the rotated object: couplings c -> c Q^T, N0 rotated."""
-    modes = tuple(
-        Mode(m.lam, m.multiplicity, m.couplings @ q.matrix.T, dark=m.dark)
-        for m in model.modes
-    )
-    return SpectralModel(
-        alpha=model.alpha,
-        sigma_star=model.sigma_star,
+    return replace(
+        model,
         n0=rotate_tensor(model.n0, q),
-        modes=modes,
-        provenance=model.provenance,
-        topology_flag=model.topology_flag,
-        tail_bound=model.tail_bound,
+        modes=tuple(replace(m, couplings=m.couplings @ q.matrix.T) for m in model.modes),
     )

@@ -31,7 +31,7 @@ from .errors import (
     NumericRangeError,
     PoleSpacingError,
 )
-from .spectral import MU0, Mode, SpectralModel, _check_scale, is_number
+from .spectral import Mode, SpectralModel, _check_scale, _time_constant, is_number
 from .tensors import SymTensor3
 
 _SERIES_SWITCH = 0.2  # |v| below which the small-argument series is used
@@ -57,7 +57,7 @@ class SphereSpec:
 
     @property
     def time_constant(self) -> float:
-        return MU0 * self.sigma_star * self.alpha**2
+        return _time_constant(self.alpha, self.sigma_star)
 
     def static_value(self) -> float:
         """Magnetostatic polarizability 4 pi a^3 (mu_r - 1) / (mu_r + 2)."""
@@ -246,14 +246,12 @@ def _fit_tail(
         x, _ = nnls(rows, np.concatenate([-rhs, [anchor * (-deficit)]]))
         b = -x
         # close the infinite-frequency limit exactly by folding the leftover
-        # into the largest-eigenvalue tail mode (a sub-permille shift)
+        # into the largest-eigenvalue tail mode that stays non-positive (a
+        # sub-permille shift); lam_tail ascends
         leftover = deficit - b.sum()
-        order = np.argsort(lam_tail)[::-1]
-        for k in order:
-            if b[k] + leftover <= 0.0:
-                b[k] += leftover
-                leftover = 0.0
-                break
+        fold = np.flatnonzero(b + leftover <= 0.0)
+        if fold.size:
+            b[fold[-1]] += leftover
         keep = b < 0.0
         fitted = partial + basis @ b
         max_rel_err = float(np.abs((fitted - target) * weight)[:n_band].max())

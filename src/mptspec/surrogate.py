@@ -12,7 +12,7 @@ check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from numbers import Integral
 
 import numpy as np
@@ -22,6 +22,7 @@ from .spectral import (
     FrequencyGrid,
     SpectralModel,
     _check_scale,
+    _frozen,
     assemble,
     assemble_dlog,
     commutator_Z,
@@ -55,12 +56,7 @@ class SurrogateProblem:
 
     def __post_init__(self):
         _check_scale(self.alpha, self.sigma_star)
-        # private read-only copies, as Mode keeps, so no caller can change a
-        # checked problem
-        k = np.array(self.k_matrix, dtype=float)
-        t = np.array(self.theta0, dtype=float)
-        k.setflags(write=False)
-        t.setflags(write=False)
+        k, t = _frozen(self.k_matrix), _frozen(self.theta0)
         if k.shape != (self.dim, self.dim):
             raise InvalidInputError("K must be dim x dim")
         if t.shape != (self.dim, 3):
@@ -89,6 +85,13 @@ def _spectrum(dim: int, shape: str) -> np.ndarray:
     raise InvalidInputError(f"unknown spectrum shape {shape!r}")
 
 
+def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
+    # Q of a Gaussian matrix's QR, signed so that R's diagonal is
+    # nonnegative: a seeded random orthogonal n x n matrix
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
+
+
 def generate(
     dim: int,
     seed: int,
@@ -108,8 +111,7 @@ def generate(
         raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     lam = _spectrum(dim, spectrum_shape)
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    q *= np.where(np.diag(r) >= 0.0, 1.0, -1.0)
+    q = _orthogonal(rng, dim)
     k = (q * lam) @ q.T
     k = 0.5 * (k + k.T)
     theta0 = rng.standard_normal((dim, 3))
@@ -272,19 +274,11 @@ class VerificationReport:
 
 
 def _corrupt_first_coupling(model: SpectralModel, amount: float = 1e-3) -> SpectralModel:
-    from .spectral import Mode
-
     first = model.modes[0]
     rows = first.couplings.copy()
     rows[0, 0] += amount
-    modes = (Mode(first.lam, first.multiplicity, rows, dark=False),) + model.modes[1:]
-    return SpectralModel(
-        alpha=model.alpha,
-        sigma_star=model.sigma_star,
-        n0=model.n0,
-        modes=modes,
-        provenance=model.provenance,
-    )
+    modes = (replace(first, couplings=rows, dark=False),) + model.modes[1:]
+    return replace(model, modes=modes)
 
 
 # the checks whose report entries carry a note
@@ -335,9 +329,7 @@ def verify_identities(
     lam_raw, phi = np.linalg.eigh(problem.k_matrix)
     proj = phi.T @ problem.theta0
 
-    rng = np.random.default_rng(20190531)
-    q_raw, r_raw = np.linalg.qr(rng.standard_normal((3, 3)))
-    q = Rotation3(q_raw * np.where(np.diag(r_raw) >= 0.0, 1.0, -1.0))
+    q = Rotation3(_orthogonal(np.random.default_rng(20190531), 3))
     model_rot = rotate_model(model, q)
 
     # derived commutator bound constants (Cauchy-Schwarz through the

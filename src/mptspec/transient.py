@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, NumericRangeError
-from .spectral import SpectralModel, _core, _decay_rates, limit_tensors, mode_tensor
+from .spectral import SpectralModel, _core, _decay_rates, _frozen, limit_tensors, mode_tensor
 from .tensors import SymTensor3, perturbed_field
 
 
@@ -133,8 +133,7 @@ class Waveform:
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        t, v = _frozen(self.times), _frozen(self.values)
         if t.ndim != 1 or t.size < 1 or v.shape != t.shape:
             raise InvalidInputError("waveform needs matching 1-D times and values")
         if np.any(np.diff(t) <= 0.0):

@@ -1,5 +1,7 @@
 """Pole-residue expansion: construction, evaluation, residues, truncation."""
 
+from dataclasses import replace
+
 import mpmath
 import numpy as np
 import pytest
@@ -17,8 +19,10 @@ from mptspec import (
     SphereSpec,
     SymTensor3,
     assemble,
+    eigen_model,
     evaluate,
     from_model,
+    generate,
     residue_at_pole,
     select_truncation,
     sphere_spectral_model,
@@ -107,6 +111,30 @@ class TestSelectTruncation:
         big = expansion_with_residues([1.0, 2.0, 3.0, 4.0], [10.0 * t for t in base])
         for k in range(4):
             assert select_truncation(big, k) >= select_truncation(small, k)
+
+    def test_degree_past_the_float_exponent_range(self):
+        # 2^nv overflowed a Python float from nv = 1024 on
+        unit = SymTensor3.diag(-1.0, -1.0, -1.0)
+        expansion = PoleResidueExpansion(
+            n0=SymTensor3.zero(),
+            poles_s=-np.arange(1.0, 1101.0),
+            residues=(unit,) * 1100,
+            nv=np.zeros(1100, dtype=int),
+            alpha=1.0,
+            sigma_star=1.0,
+        )
+        # M_n = 1, so 2^nv >= 2^(n+1) first holds at nv = n + 1
+        assert select_truncation(expansion, 1099) == 1100
+        assert select_truncation(expansion, 0) == 1
+        nv = [select_truncation(expansion, n) for n in range(1100)]
+        far = replace(expansion, nv=nv)
+        with pytest.raises(NumericRangeError, match="float range"):
+            evaluate(far, -1e3 * far.poles_w[-1] * 1j)
+
+    def test_auto_expansion_of_a_large_surrogate_model(self):
+        model = eigen_model(generate(1100, 3, "linear"), SymTensor3.zero())
+        expansion = from_model(model, "auto")
+        assert expansion.nv.min() == 0 and expansion.nv.max() > 1023
 
 
 class TestEvaluate:
@@ -468,6 +496,13 @@ class TestFloatRange:
         for partial_sums in (False, True):
             with pytest.raises(NumericRangeError, match="float range"):
                 evaluate(expansion, 2.0 + 2e-9, return_partial_sums=partial_sums)
+
+    @pytest.mark.filterwarnings("error")
+    def test_contour_average_past_the_float_range_refused(self):
+        # near pole 1 the subnormal pole's term w / lam_0 overflows
+        expansion = expansion_with_residues([5e-324, 4.0], [SymTensor3.isotropic(-1.0)] * 2)
+        with pytest.raises(NumericRangeError, match="float range"):
+            contour_residue(expansion, 1)
 
 
 class TestContourOnAutoExpansions:

@@ -2,6 +2,7 @@
 
 import copy
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -21,6 +22,7 @@ from mptspec import (
     SpectralModel,
     SphereSpec,
     SurrogateProblem,
+    SweepData,
     SymTensor3,
     TransientKernel,
     Waveform,
@@ -32,6 +34,7 @@ from mptspec import (
     convolve_excitation,
     dominant_mode,
     eigen_sym3,
+    fit_dominant,
     from_model,
     limit_tensors,
     mode_tensor,
@@ -616,6 +619,105 @@ class TestModelValidation:
         np.testing.assert_allclose(
             grid.to_nu(model), model.nu_from_omega(grid.values)
         )
+
+
+def _loop_modes_from_eigenvalues(lams, rows, rel_gap=1e-8):
+    # the index walk that grouped eigenvalues before the break mask
+    modes, start = [], 0
+    for k in range(1, lams.size + 1):
+        if k < lams.size and (lams[k] - lams[k - 1]) <= rel_gap * abs(lams[k]):
+            continue
+        c = rows[start:k]
+        modes.append(Mode(float(lams[start:k].mean()), k - start, c,
+                          dark=np.abs(c).max() == 0.0))
+        start = k
+    return tuple(modes)
+
+
+def _grouping_cases():
+    rng = np.random.default_rng(2019)
+    for _ in range(200):
+        base = np.sort(rng.uniform(0.1, 50.0, rng.integers(1, 8)))
+        # repeats split by relative gaps on both sides of the merge rule
+        lams = np.sort(np.concatenate([
+            base, base * (1.0 + rng.choice([1e-12, 1e-9, 1e-7, 1e-3], base.size))
+        ]))
+        rows = rng.standard_normal((lams.size, 3))
+        rows[rng.random(lams.size) < 0.3] = 0.0
+        yield lams, rows, 1e-8
+    # gaps exactly at rel_gap * |lam|, with rel_gap and lam powers of two
+    gap = 2.0**-20
+    yield np.array([1.0 - gap, 1.0, 2.0, 2.0 + 2.0 * gap]), np.ones((4, 3)), gap
+    yield np.array([4.0 - 4.0 * gap, 4.0, 8.0 - 16.0 * gap, 8.0]), np.ones((4, 3)), gap
+    dark = np.zeros((5, 3))
+    dark[3] = 1.0
+    yield np.array([1.0, 1.0, 3.0, 5.0, 5.0]), dark, 1e-8  # dark groups
+    yield np.full(4, 7.0), np.ones((4, 3)), 1e-8  # a single group
+    yield np.arange(1.0, 9.0), np.ones((8, 3)), 1e-8  # all distinct
+    yield np.array([]), np.zeros((0, 3)), 1e-8
+
+
+class TestModeGrouping:
+    def test_break_mask_matches_index_walk(self):
+        exact_gaps = 0
+        for lams, rows, rel_gap in _grouping_cases():
+            exact_gaps += int(np.any(np.diff(lams) == rel_gap * np.abs(lams[1:])))
+            got = modes_from_eigenvalues(lams, rows, rel_gap)
+            want = _loop_modes_from_eigenvalues(lams, rows, rel_gap)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.array_equal(g.lam, w.lam)
+                assert np.array_equal(g.multiplicity, w.multiplicity)
+                assert np.array_equal(g.couplings, w.couplings)
+                assert g.dark == w.dark
+        assert exact_gaps >= 2
+
+
+class TestDerivedModelsKeepTheSignature:
+    def test_rotate_model_keeps_every_other_field(self):
+        model = replace(random_model(5), provenance="external",
+                        topology_flag="torus", tail_bound=0.25)
+        q = Rotation3(np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+        rotated = rotate_model(model, q)
+        for name in ("alpha", "sigma_star", "provenance", "topology_flag", "tail_bound"):
+            assert getattr(rotated, name) == getattr(model, name)
+        for m, r in zip(model.modes, rotated.modes):
+            assert (r.lam, r.multiplicity, r.dark) == (m.lam, m.multiplicity, m.dark)
+            np.testing.assert_array_equal(r.couplings, m.couplings @ q.matrix.T)
+
+
+class TestValidatedArraysAreFrozen:
+    @staticmethod
+    def _build():
+        # each constructor, the caller arrays it was given, and its own
+        t, v = np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 0.5])
+        yield FrequencyGrid(t), (t,), ("values",)
+        yield SweepData(t, v), (t, v), ("nu", "values")
+        yield Waveform(t, v), (t, v), ("times", "values")
+        poles, nv = np.array([-1.0, -2.0]), np.array([0, 1])
+        residues = (SymTensor3.isotropic(-1.0),) * 2
+        expansion = PoleResidueExpansion(SymTensor3.zero(), poles, residues, nv, 1.0, 1.0)
+        yield expansion, (poles, nv), ("poles_s", "nv")
+        k, theta0 = np.eye(2), np.ones((2, 3))
+        grid = FrequencyGrid(t)
+        yield SurrogateProblem(2, k, theta0, 1.0, 1.0, grid), (k, theta0), ("k_matrix", "theta0")
+
+    def test_caller_mutation_does_not_reach_the_object(self):
+        for obj, given, names in list(self._build()):
+            kept = [getattr(obj, name).copy() for name in names]
+            for a in given:
+                a[0] += 5
+            for name, before in zip(names, kept):
+                np.testing.assert_array_equal(getattr(obj, name), before)
+
+    def test_object_arrays_reject_writes(self):
+        for obj, _, names in self._build():
+            for name in names:
+                with pytest.raises(ValueError):
+                    getattr(obj, name)[0] = 9
+        fit = fit_dominant(SweepData(np.geomspace(0.1, 10.0, 9), np.linspace(-1.0, -2.0, 9)), "R")
+        with pytest.raises(ValueError):
+            fit.residual_curve[0] = 0.0
 
 
 class TestModeInvariants:

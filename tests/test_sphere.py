@@ -473,6 +473,62 @@ class TestModelBuilderReusesWork:
         )
 
 
+def _loop_fold(lam_tail, b, leftover):
+    # the fold that walked the tail modes from the largest eigenvalue down
+    b = b.copy()
+    for k in np.argsort(lam_tail)[::-1]:
+        if b[k] + leftover <= 0.0:
+            b[k] += leftover
+            return b, int(k)
+    return b, None
+
+
+class TestTailFold:
+    # the tail fit's inputs as sphere_spectral_model forms them, one tail size
+    N_MODES, N_TAIL = 10, 8
+
+    def _inputs(self):
+        scanned = sphere_poles(FIG1, self.N_MODES + 1)
+        lams, mu = scanned[:-1], FIG1.mu_r
+        residues = -12.0 * np.pi * FIG1.alpha**3 * mu / (mu * lams + (mu - 1.0) * (mu + 2.0))
+        tau = FIG1.time_constant
+        nu_band = (2.0 * np.pi * 1e-2 * tau, 2.0 * np.pi * 1e8 * tau)
+        n0 = FIG1.static_value()
+        deficit = (FIG1.pec_value() - n0) - residues.sum()
+        return (FIG1, lams, scanned[-1], residues, n0, nu_band, (self.N_TAIL,)), deficit
+
+    @pytest.mark.parametrize("pattern, fold_at", [
+        (None, None),  # the fit's own solution, fold index as it falls
+        ("zeros", 7),  # leftover < 0 folds into the largest eigenvalue
+        ("one", 3),  # only mode 3 is deep enough to take a leftover > 0
+        ("even", "none"),  # no mode is deep enough: nothing folds
+    ])
+    def test_fold_index_matches_loop(self, pattern, fold_at, monkeypatch):
+        args, deficit = self._inputs()
+        crafted = {
+            "zeros": np.zeros(8),
+            "one": np.array([0, 0, 0, -2.0 * deficit, 0, -0.5 * deficit, 0, 0]),
+            "even": np.full(8, -deficit / 4.0),
+        }
+        fit, solutions = sphere.nnls, []
+
+        def nnls(rows, rhs):
+            x = fit(rows, rhs)[0] if pattern is None else crafted[pattern]
+            solutions.append(x)
+            return x, 0.0
+
+        monkeypatch.setattr(sphere, "nnls", nnls)
+        lam_kept, b_kept, _ = sphere._fit_tail(*args)
+        (x,) = solutions
+        lam_tail = np.geomspace(args[2], 4.0 * max(args[5][1], 4.0 * args[1][-1]), 8)
+        b = -x
+        want, k = _loop_fold(lam_tail, b, deficit - b.sum())
+        if fold_at is not None:
+            assert k == (None if fold_at == "none" else fold_at)
+        np.testing.assert_array_equal(b_kept, want[want < 0.0])
+        np.testing.assert_array_equal(lam_kept, lam_tail[want < 0.0])
+
+
 class TestExtractionGeneralises:
     def test_other_specs_reproduce_their_curves(self):
         cases = [

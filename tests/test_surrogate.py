@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,8 @@ from mptspec import (
     verify_identities,
 )
 from mptspec.spectral import FrequencyGrid
-from mptspec.surrogate import SurrogateProblem, energy_tensors_alt
-from conftest import ORACLE_CASES
+from mptspec.surrogate import SurrogateProblem, _corrupt_first_coupling, energy_tensors_alt
+from conftest import ORACLE_CASES, random_model
 
 
 class TestGenerate:
@@ -280,6 +281,17 @@ class TestVerifyIdentities:
         assert names["series_vs_direct_solve"].passed
         assert names["energy_alternative_forms"].passed
 
+    def test_corrupted_control_keeps_the_model_signature(self):
+        model = replace(random_model(2), provenance="external",
+                        topology_flag="torus", tail_bound=0.25)
+        corrupted = _corrupt_first_coupling(model)
+        for name in ("alpha", "sigma_star", "n0", "provenance", "topology_flag",
+                     "tail_bound"):
+            assert getattr(corrupted, name) == getattr(model, name)
+        assert corrupted.modes[1:] == model.modes[1:]
+        delta = corrupted.modes[0].couplings - model.modes[0].couplings
+        assert delta[0, 0] == pytest.approx(1e-3) and np.count_nonzero(delta) == 1
+
     def test_minimal_problem_fast(self):
         import time
 
@@ -362,3 +374,27 @@ def test_no_module_imports_scipy_linalg():
         if _imports_scipy_linalg(node)
     ]
     assert offenders == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for a in node.names:
+                # `import a.b` binds `a`
+                name = a.asname or a.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_has_an_unused_import():
+    # an import left behind when its last use moves elsewhere; the package's
+    # __init__ imports only to re-export
+    src = Path(__file__).resolve().parents[1] / "src" / "mptspec"
+    modules = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
+    assert modules
+    assert [hit for path in modules for hit in _unused_imports(path)] == []
