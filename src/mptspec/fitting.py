@@ -30,7 +30,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import InvalidInputError, NoFitError, NumericRangeError
-from .spectral import SpectralModel, _frozen, assemble
+from .spectral import SpectralModel, _check_count, _check_nu, _frozen, assemble
 from .tensors import PACKED_LABELS
 
 _SCREEN_PER_DECADE = 4  # screening grid points per decade of rate
@@ -234,9 +234,10 @@ class FitReportRow:
 
 def default_fit_grid(nu_max: float, points: int = 200) -> np.ndarray:
     """nu = 0 plus a log-uniform grid up to nu_max (the CLI default sampling)."""
-    if nu_max <= 0.0:
-        raise InvalidInputError("nu_max must be positive")
-    return np.concatenate([[0.0], np.geomspace(1e-6 * nu_max, nu_max, points - 1)])
+    _check_nu(nu_max, "nu_max", positive=True)
+    _check_count("points", points, 2)
+    low = _check_nu(1e-6 * nu_max, "1e-6 nu_max", positive=True)
+    return np.concatenate([[0.0], np.geomspace(low, nu_max, points - 1)])
 
 
 def sweep_coefficients(model: SpectralModel, nu: np.ndarray):

@@ -15,8 +15,8 @@ import tempfile
 import numpy as np
 
 from .errors import SchemaError
-from .spectral import Mode, SpectralModel, is_number
-from .tensors import PACKED_LABELS, SymTensor3
+from .spectral import Mode, SpectralModel
+from .tensors import PACKED_LABELS, SymTensor3, is_number
 
 SCHEMA_VERSION = 1
 

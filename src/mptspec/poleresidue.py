@@ -20,13 +20,15 @@ and point at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, InvalidInputError, NumericRangeError, PoleProximityError
 from .spectral import (
     SpectralModel,
+    _check_count,
+    _check_index,
     _check_scale,
     _decay_rates,
     _frozen,
@@ -113,10 +115,10 @@ def from_model(model: SpectralModel, truncation: str = "zero") -> PoleResidueExp
     if truncation == "zero":
         return expansion
     if truncation == "auto":
-        nv = np.array(
-            [select_truncation(expansion, n) for n in range(expansion.n_poles())]
-        )
-        return replace(expansion, nv=nv)
+        # integers >= 0 by construction, so no second __post_init__ checks them
+        nv = [select_truncation(expansion, n) for n in range(poles.size)]
+        object.__setattr__(expansion, "nv", _frozen(nv, int))
+        return expansion
     raise InvalidInputError(f"unknown truncation policy {truncation!r}")
 
 
@@ -129,8 +131,7 @@ def select_truncation(expansion: PoleResidueExpansion, n: int) -> int:
     largest coefficient magnitude of the residue.  ``n`` is the 0-based pole
     index; the convergence requirement counts poles from one.
     """
-    if not 0 <= n < expansion.n_poles():
-        raise InvalidInputError(f"pole index {n} out of range")
+    _check_index("pole index", n, expansion.n_poles())
     m_n = np.abs(expansion._packed[n]).max()
     if m_n == 0.0:
         return 0
@@ -203,8 +204,7 @@ def evaluate(
 
 def residue_at_pole(expansion: PoleResidueExpansion, n: int) -> SymTensor3:
     """Residue of the expansion at s_n: lim (s - s_n) M(s) = s_n A_n."""
-    if not 0 <= n < expansion.n_poles():
-        raise InvalidInputError(f"pole index {n} out of range")
+    _check_index("pole index", n, expansion.n_poles())
     return float(expansion.poles_s[n]) * expansion.residues[n]
 
 
@@ -221,17 +221,18 @@ def contour_residue(
     Only the singular parts w/(w - lam_k) are integrated: N0 and the Taylor
     polynomials are entire and have no residue, but near a high pole their
     average would cancel only down to rounding of their (large) size.
-    Raises NumericRangeError where that average leaves the float range.
+    Raises NumericRangeError where the radius or that average leaves the float range.
     """
-    if not 0 <= n < expansion.n_poles():
-        raise InvalidInputError(f"pole index {n} out of range")
-    if points < 1:
-        raise InvalidInputError(f"contour needs at least one point, got {points}")
+    _check_index("pole index", n, expansion.n_poles())
+    _check_count("points", points, 1)
     if not 0.0 < rel_radius < 1.0:
         raise InvalidInputError(f"rel_radius must lie in (0, 1), got {rel_radius}")
     s_n = expansion.poles_s[n]
+    radius = rel_radius * abs(s_n)
+    if radius < np.finfo(float).tiny:
+        raise NumericRangeError(f"contour radius {radius:g} at pole {n} underflows")
     theta = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
-    offsets = rel_radius * abs(s_n) * np.exp(1j * theta)
+    offsets = radius * np.exp(1j * theta)
     with np.errstate(over="ignore", invalid="ignore"):
         coeff = _terms(expansion.poles_w, 0, -(s_n + offsets) * expansion.scale_w_per_s)
         average = offsets @ coeff @ expansion._packed / points

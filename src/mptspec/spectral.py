@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .tensors import (
     ComplexSymTensor3,
     Rotation3,
     SymTensor3,
+    is_number,
     packed_index,
     rotate_tensor,
     unpack,
@@ -37,17 +38,31 @@ PROVENANCES = ("sphere-analytic", "surrogate", "external", "manual")
 MULTIPLICITY_REL_GAP = 1e-8
 
 
-def is_number(x, kind=Real) -> bool:
-    """A finite scalar of ``kind``, numpy scalars included.
+# the scalar-argument rules of the public entry points, built on is_number
+def _check_nu(x, name="nu", positive=False):
+    # a dimensionless frequency, nu = omega mu0 sigma_star alpha^2
+    if not (is_number(x) and (x > 0.0 if positive else x >= 0.0)):
+        sign = "positive" if positive else "nonnegative"
+        raise DomainError(f"{name} must be finite and {sign}, got {x!r}")
+    return x
 
-    A bool is not one, nor an int too large for a double.
-    """
-    if not isinstance(x, kind) or isinstance(x, bool):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        return False
+
+def _check_positive(name, x):
+    if not (is_number(x) and x > 0.0):
+        raise InvalidInputError(f"{name} must be positive and finite, got {x!r}")
+
+
+def _check_count(name, x, minimum):
+    if not (is_number(x, Integral) and x >= minimum):
+        raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {x!r}")
+    return x
+
+
+def _check_index(name, n, size):
+    # 0-based, so no negative index counts from the end
+    if not (is_number(n, Integral) and 0 <= n < size):
+        raise InvalidInputError(f"{name} {n!r} out of range")
+    return n
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -66,8 +81,8 @@ def _time_constant(alpha, sigma_star):
 def _check_scale(alpha, sigma_star) -> None:
     # the one scale rule of every model-like object: alpha^3 scales each
     # tensor and the time constant each frequency
-    if not all(is_number(x) and x > 0.0 for x in (alpha, sigma_star)):
-        raise InvalidInputError("alpha and sigma_star must be positive and finite")
+    _check_positive("alpha", alpha)
+    _check_positive("sigma_star", sigma_star)
     try:
         with np.errstate(over="ignore"):
             cube, tau = float(alpha**3), float(_time_constant(alpha, sigma_star))
@@ -94,10 +109,8 @@ class Mode:
     dark: bool = False
 
     def __post_init__(self):
-        if not (is_number(self.lam) and self.lam > 0.0):
-            raise InvalidInputError(f"mode eigenvalue must be positive, got {self.lam!r}")
-        if not (is_number(self.multiplicity, Integral) and self.multiplicity >= 1):
-            raise InvalidInputError("multiplicity must be a positive integer")
+        _check_positive("lam", self.lam)
+        _check_count("multiplicity", self.multiplicity, 1)
         if not isinstance(self.dark, (bool, np.bool_)):
             raise InvalidInputError(f"dark must be a bool, got {self.dark!r}")
         c = _frozen(self.couplings)
@@ -193,12 +206,6 @@ class FrequencyGrid:
         return model.nu_from_omega(self.values)
 
 
-def _finite(nu: float, name: str = "nu") -> float:
-    if not np.isfinite(nu):
-        raise DomainError(f"{name} must be finite, got {nu}")
-    return nu
-
-
 def _beta_parts(nu, lam):
     # overflow-safe: work with the smaller/larger ratio so nu^2 + lam^2 is
     # never formed; also returns (lam^2 - nu^2)/(lam^2 + nu^2).  Broadcasts
@@ -219,11 +226,8 @@ def beta(nu: float, lam: float) -> complex:
     Real part -nu^2/(nu^2+lam^2) decreases from 0 to -1 with nu; imaginary
     part nu*lam/(nu^2+lam^2) has a single maximum 1/2 at nu = lam.
     """
-    if not (np.isfinite(lam) and lam > 0.0):
-        raise InvalidInputError(f"mode eigenvalue must be positive, got {lam}")
-    if _finite(nu) < 0.0:
-        raise DomainError("nu must be nonnegative")
-    re, im, _ = _beta_parts(nu, lam)
+    _check_positive("lam", lam)
+    re, im, _ = _beta_parts(_check_nu(nu), lam)
     return complex(float(re), float(im))
 
 
@@ -234,11 +238,8 @@ def beta_dlog(nu: float, lam: float) -> tuple[float, float, float]:
     the extra factor (lam^2 - nu^2)/(lam^2 + nu^2), which flips sign at the
     balance point nu = lam.
     """
-    if not (np.isfinite(lam) and lam > 0.0):
-        raise InvalidInputError(f"mode eigenvalue must be positive, got {lam}")
-    if _finite(nu) <= 0.0:
-        raise DomainError("log-frequency derivative requires nu > 0")
-    return tuple(float(d) for d in _dlog_parts(nu, lam))
+    _check_positive("lam", lam)
+    return tuple(float(d) for d in _dlog_parts(_check_nu(nu, positive=True), lam))
 
 
 def _dlog_parts(nu, lam):
@@ -251,7 +252,7 @@ def mode_tensor(model: SpectralModel, n: int) -> SymTensor3:
 
     Negative semidefinite with rank at most the mode multiplicity.
     """
-    mode = model.modes[n]
+    mode = model.modes[_check_index("mode index", n, len(model.modes))]
     scale = -(model.alpha**3) * mode.lam / 4.0
     return SymTensor3.from_matrix(scale * mode.gram())
 
@@ -309,9 +310,7 @@ def assemble(
     I(nu) = -sum_n [nu lam_n/(nu^2+lam_n^2)] A_n positive semidefinite, and
     M = N0 + R + iI.
     """
-    if _finite(nu) < 0.0:
-        raise DomainError("nu must be nonnegative")
-    r_t, i_t = map(SymTensor3, _packed_ri(model, nu))
+    r_t, i_t = map(SymTensor3, _packed_ri(model, _check_nu(nu)))
     return r_t, i_t, ComplexSymTensor3(model.n0 + r_t, i_t)
 
 
@@ -319,8 +318,7 @@ def assemble_dlog(
     model: SpectralModel, nu: float
 ) -> tuple[SymTensor3, SymTensor3, SymTensor3]:
     """Log-frequency derivatives (dR/dlog, d2R/dlog2, dI/dlog) at nu > 0."""
-    if _finite(nu) <= 0.0:
-        raise DomainError("log-frequency derivative requires nu > 0")
+    _check_nu(nu, positive=True)
     lams, a = _core(model)
     return tuple(map(SymTensor3, _contract(np.stack(_dlog_parts(nu, lams)), a)))
 
@@ -337,8 +335,7 @@ def dominant_mode(model: SpectralModel, i: int, j: int, nu_max: float) -> int:
     Scores each mode by the peak of |Im beta_n| * |A_n_ij| on the band; the
     peak sits at nu = min(lam_n, nu_max).  Ties break toward smaller lam.
     """
-    if _finite(nu_max, "nu_max") <= 0.0:
-        raise DomainError("nu_max must be positive")
+    _check_nu(nu_max, "nu_max", positive=True)
     lams, a = _core(model)
     _, im, _ = _beta_parts(np.minimum(lams, nu_max), lams)
     scores = np.abs(a[:, packed_index(i, j)]) * im
@@ -361,14 +358,13 @@ def commutator_Z(
     :func:`assemble` makes, as dense 3x3 matrices, with no tensor objects.
     Only a commutator beyond the float range raises NumericRangeError.
     """
-    if _finite(nu1, "nu1") <= 0.0:
-        raise DomainError("nu1 must be positive")
+    _check_nu(nu1, "nu1", positive=True)
     if nu2 is not None:
-        _finite(nu2, "nu2")
+        _check_nu(nu2, "nu2", positive=True)
     if kind == "RI":
         rows = _packed_ri(model, nu1)
     elif kind in ("RR", "II"):
-        if nu2 is None or nu2 <= 0.0:
+        if nu2 is None:
             raise DomainError(f"kind {kind} requires a positive nu2")
         pick = 0 if kind == "RR" else 1
         rows = np.stack((_packed_ri(model, nu1)[pick], _packed_ri(model, nu2)[pick]))

@@ -20,18 +20,20 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 from scipy.optimize import brentq, nnls
 
-from .errors import (
-    DomainError,
-    InvalidInputError,
-    NumericRangeError,
-    PoleSpacingError,
+from .errors import InvalidInputError, NumericRangeError, PoleSpacingError
+from .spectral import (
+    Mode,
+    SpectralModel,
+    _check_count,
+    _check_nu,
+    _check_positive,
+    _check_scale,
+    _time_constant,
 )
-from .spectral import Mode, SpectralModel, _check_scale, _time_constant, is_number
 from .tensors import SymTensor3
 
 _SERIES_SWITCH = 0.2  # |v| below which the small-argument series is used
@@ -47,8 +49,7 @@ class SphereSpec:
 
     def __post_init__(self):
         _check_scale(self.alpha, self.sigma_star)
-        if not (is_number(self.mu_r) and self.mu_r > 0.0):
-            raise InvalidInputError("mu_r must be positive and finite")
+        _check_positive("mu_r", self.mu_r)
         # a finite static limit also bounds 2 pi alpha^3, the other limit
         with np.errstate(over="ignore", invalid="ignore"):
             if not abs(self.static_value()) < np.inf:
@@ -110,8 +111,7 @@ def mpt_sphere(spec: SphereSpec, omega: float) -> complex:
     m(0) is the magnetostatic value and Re m -> -2 pi a^3, Im m -> 0 as
     omega -> infinity.  Units m^3.
     """
-    if not 0.0 <= omega < np.inf:
-        raise DomainError(f"omega must be finite and nonnegative, got {omega!r}")
+    _check_nu(omega, "omega")
     with np.errstate(over="ignore", invalid="ignore"):
         m = _m_of_w(spec, 1j * omega * spec.time_constant)
     if not cmath.isfinite(m):
@@ -125,11 +125,6 @@ def _char(v, mu_r: float):
     Elementwise over an array of v.
     """
     return (mu_r - 1.0) * (np.sin(v) - v * np.cos(v)) / (v * v) + np.sin(v)
-
-
-def _check_count(name: str, value, minimum: int) -> None:
-    if not (is_number(value, Integral) and value >= minimum):
-        raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _check_range(name: str, values: np.ndarray) -> None:

@@ -13,7 +13,6 @@ check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 
 import numpy as np
 
@@ -21,12 +20,14 @@ from .errors import DomainError, InvalidInputError
 from .spectral import (
     FrequencyGrid,
     SpectralModel,
+    _check_count,
+    _check_nu,
+    _check_positive,
     _check_scale,
     _frozen,
     assemble,
     assemble_dlog,
     commutator_Z,
-    is_number,
     limit_tensors,
     modes_from_eigenvalues,
     rotate_model,
@@ -105,11 +106,8 @@ def generate(
     vectors are seeded unit Gaussians, which automatically lie in the span of
     K's (all-positive) eigenvectors.
     """
-    if dim < 2:
-        raise InvalidInputError("dim must be >= 2")
-    if not (isinstance(seed, Integral) and seed >= 0):
-        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
-    rng = np.random.default_rng(seed)
+    _check_count("dim", dim, 2)
+    rng = np.random.default_rng(_check_count("seed", seed, 0))
     lam = _spectrum(dim, spectrum_shape)
     q = _orthogonal(rng, dim)
     k = (q * lam) @ q.T
@@ -128,11 +126,7 @@ def direct_theta1(problem: SurrogateProblem, nu: float) -> np.ndarray:
     BLAS); returns a dim x 3 complex array.  The response vanishes
     identically at nu = 0.
     """
-    if not np.isfinite(nu):
-        raise DomainError(f"nu must be finite, got {nu}")
-    if nu < 0.0:
-        raise DomainError("nu must be nonnegative")
-    if nu == 0.0:
+    if _check_nu(nu) == 0.0:
         return np.zeros((problem.dim, 3), dtype=complex)
     a = problem.k_matrix.astype(complex) - 1j * nu * np.eye(problem.dim)
     rhs = 1j * nu * problem.theta0.astype(complex)
@@ -178,8 +172,7 @@ def energy_tensors_direct(
     energy; I_ij = (alpha^3/(4 nu)) Re[(K theta1_j)^H (K theta1_i)] the Ohmic
     one.  Both are symmetric by the symmetry of K.
     """
-    if nu <= 0.0:
-        raise DomainError("energy forms require nu > 0 (1/nu weight)")
+    _check_nu(nu, positive=True)  # the 1/nu weight
     return _energy_direct(problem, nu, direct_theta1(problem, nu))
 
 
@@ -204,8 +197,7 @@ def energy_tensors_alt(
     equality with :func:`energy_tensors_direct` is one of the verified
     identities.
     """
-    if nu <= 0.0:
-        raise DomainError("alternative forms require nu > 0")
+    _check_nu(nu, positive=True)
     return _energy_alt(problem, nu, direct_theta1(problem, nu))
 
 
@@ -311,8 +303,7 @@ def verify_identities(
     extraction, which must break the model-vs-direct identities while the
     direct-solve-only ones stay green (fault localisation).
     """
-    if not (is_number(tol) and tol > 0.0):
-        raise InvalidInputError(f"tol must be positive and finite, got {tol!r}")
+    _check_positive("tol", tol)
     if nu_grid is None:
         nus = problem.nu_grid.values
     elif isinstance(nu_grid, FrequencyGrid):

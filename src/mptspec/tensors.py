@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -27,8 +28,21 @@ PACKED_LABELS = ("11", "22", "33", "12", "13", "23")
 ORTHOGONALITY_TOL = 1e-12
 
 
+def is_number(x, kind=Real) -> bool:
+    """A finite scalar of ``kind``, numpy scalars included, and not a bool."""
+    try:
+        return isinstance(x, kind) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an int too large for a double
+        return False
+
+
 def packed_index(i: int, j: int) -> int:
-    """Position of coefficient (i, j), in either order, among the six packed."""
+    """Position of coefficient (i, j), in either order, among the six packed.
+
+    Raises InvalidInputError unless i and j are integers 0, 1 or 2.
+    """
+    if not all(is_number(k, Integral) and 0 <= k <= 2 for k in (i, j)):
+        raise InvalidInputError(f"tensor index ({i!r}, {j!r}) must be integers 0, 1 or 2")
     return _PACK_IJ.index((min(i, j), max(i, j)))
 
 
@@ -201,6 +215,8 @@ class Rotation3:
     @classmethod
     def about_axis(cls, axis: int, angle: float) -> "Rotation3":
         """Right-handed rotation by `angle` radians about coordinate axis 0, 1 or 2."""
+        if not (is_number(axis, Integral) and 0 <= axis <= 2 and is_number(angle)):
+            raise InvalidRotationError(f"axis {axis!r} must be 0..2 and angle {angle!r} finite")
         c, s = np.cos(angle), np.sin(angle)
         q = np.eye(3)
         a, b = [k for k in range(3) if k != axis]

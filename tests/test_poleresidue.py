@@ -84,6 +84,30 @@ class TestFromModel:
         with pytest.raises(InvalidInputError):
             from_model(model, truncation="bogus")
 
+    def test_auto_expansion_is_built_once(self, monkeypatch):
+        # the degrees are set on the one checked expansion; they equal those
+        # of a second, fully checked expansion built with replace
+        model = sphere_spectral_model(FIG1, 30)
+        zero = from_model(model)
+        reference = replace(
+            zero, nv=[select_truncation(zero, n) for n in range(zero.n_poles())]
+        )
+        checks = []
+        post_init = PoleResidueExpansion.__post_init__
+
+        def counted(self):
+            checks.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(PoleResidueExpansion, "__post_init__", counted)
+        auto = from_model(model, "auto")
+        assert len(checks) == 1 and checks[0] is auto
+        assert auto.nv.max() > 0
+        for name in ("nv", "poles_s", "_packed"):
+            got, want = getattr(auto, name), getattr(reference, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not got.flags.writeable
+
 
 class TestSelectTruncation:
     def test_small_residue_needs_no_subtraction(self):
@@ -503,6 +527,15 @@ class TestFloatRange:
         expansion = expansion_with_residues([5e-324, 4.0], [SymTensor3.isotropic(-1.0)] * 2)
         with pytest.raises(NumericRangeError, match="float range"):
             contour_residue(expansion, 1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rel_radius", [1e-6, 0.5])
+    def test_contour_radius_below_the_normal_floats_refused(self, rel_radius):
+        # rel_radius |s_0| underflows at the subnormal pole: every contour
+        # point would be the pole itself
+        expansion = expansion_with_residues([5e-324, 4.0], [SymTensor3.isotropic(-1.0)] * 2)
+        with pytest.raises(NumericRangeError, match="contour radius .* at pole 0 underflows"):
+            contour_residue(expansion, 0, rel_radius=rel_radius)
 
 
 class TestContourOnAutoExpansions:

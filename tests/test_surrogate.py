@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import importlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -13,6 +14,7 @@ from scipy.linalg import lu_factor, lu_solve
 from mptspec import (
     DomainError,
     InvalidInputError,
+    MptError,
     SymTensor3,
     assemble,
     beta,
@@ -398,3 +400,30 @@ def test_no_module_has_an_unused_import():
     modules = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
     assert modules
     assert [hit for path in modules for hit in _unused_imports(path)] == []
+
+
+def _non_mpt_raises(path: Path) -> list[str]:
+    # each `raise X(...)` or `raise X` whose X is not an MptError subclass;
+    # a bare re-raise has no X
+    raises = [
+        node for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Raise) and node.exc is not None
+    ]
+    module = importlib.import_module(f"mptspec.{path.stem}") if raises else None
+    hits = []
+    for node in raises:
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        name = ast.unparse(exc)
+        cls = getattr(module, name, None) if isinstance(exc, ast.Name) else None
+        if name != "_UsageError" and not (isinstance(cls, type) and issubclass(cls, MptError)):
+            hits.append(f"{path.name}:{node.lineno} {name}")
+    return hits
+
+
+def test_every_raise_in_the_package_is_an_mpt_error():
+    # bad input raises an MptError subclass, never a bare builtin error; the
+    # CLI's own usage error, which it turns into exit 1, is exempt
+    src = Path(__file__).resolve().parents[1] / "src" / "mptspec"
+    modules = sorted(src.glob("*.py"))
+    assert modules
+    assert [hit for path in modules for hit in _non_mpt_raises(path)] == []
