@@ -31,7 +31,7 @@ from scipy.optimize import minimize_scalar
 
 from .errors import InvalidInputError, NoFitError, NumericRangeError
 from .spectral import SpectralModel, _check_count, _check_nu, _frozen, assemble
-from .tensors import PACKED_LABELS
+from .tensors import PACKED_LABELS, _number_array
 
 _SCREEN_PER_DECADE = 4  # screening grid points per decade of rate
 _SCREEN_MARGIN = 3  # decades the screening grid reaches past the sampled nu
@@ -51,13 +51,11 @@ class SweepData:
     values: np.ndarray
 
     def __post_init__(self):
-        nu, vals = _frozen(self.nu), _frozen(self.values)
+        nu, vals = (_frozen(_number_array("sweep data", x)) for x in (self.nu, self.values))
         if nu.ndim != 1 or vals.shape != nu.shape:
             raise InvalidInputError("nu and values must be matching 1-D arrays")
         if np.any(nu < 0.0) or np.any(np.diff(nu) <= 0.0):
             raise InvalidInputError("nu must be nonnegative and strictly increasing")
-        if not (np.all(np.isfinite(nu)) and np.all(np.isfinite(vals))):
-            raise InvalidInputError("sweep data must be finite")
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "values", vals)
 
@@ -276,14 +274,13 @@ def fit_report(
         nu = default_fit_grid(nu_max, points)
         r_rows, i_rows = sweep_coefficients(source, nu)
     else:
-        nu, r_rows, i_rows = source
-        nu = np.asarray(nu, dtype=float)
+        nu, r_rows, i_rows = (_number_array("sweep data", x) for x in source)
+        if nu.ndim != 1 or not r_rows.shape == i_rows.shape == (nu.size, 6):
+            raise InvalidInputError("sweep data must be 1-D nu with (points, 6) R and I rows")
         keep = nu <= nu_max
         if keep.sum() < 4:
             raise NoFitError(f"fewer than 4 sweep points below nu_max={nu_max:g}")
-        nu = nu[keep]
-        r_rows = np.asarray(r_rows, dtype=float)[keep]
-        i_rows = np.asarray(i_rows, dtype=float)[keep]
+        nu, r_rows, i_rows = nu[keep], r_rows[keep], i_rows[keep]
 
     scale = max(np.abs(r_rows).max(), np.abs(i_rows).max())
     rows = []

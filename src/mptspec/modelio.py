@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .spectral import Mode, SpectralModel
-from .tensors import PACKED_LABELS, SymTensor3, is_number
+from .tensors import PACKED_LABELS, SymTensor3
 
 SCHEMA_VERSION = 1
 
@@ -65,25 +65,17 @@ def model_to_document(model: SpectralModel) -> dict:
     return doc
 
 
-def _real_array(value) -> np.ndarray:
-    # element by element, so that a bool or a numeric string is not coerced
-    arr = np.array(value, dtype=object)
-    if not all(is_number(x) for x in arr.flat):
-        raise SchemaError("N0 and couplings must hold finite real numbers only")
-    return arr.astype(float)
-
-
 def document_to_model(doc: dict) -> SpectralModel:
     try:
         version = doc["schema_version"]
         if type(version) is not int or version != SCHEMA_VERSION:
             raise SchemaError(f"unsupported schema_version {version!r}")
-        n0 = SymTensor3(_real_array(doc["N0"]))
+        n0 = SymTensor3(doc["N0"])
         modes = tuple(
             Mode(
                 lam=entry["lambda"],
                 multiplicity=entry["multiplicity"],
-                couplings=_real_array(entry["couplings"]),
+                couplings=entry["couplings"],
                 dark=entry.get("dark", False),
             )
             for entry in doc["modes"]
@@ -156,9 +148,7 @@ def read_sweep_csv(path: str) -> dict:
     if not all(line.isascii() and "_" not in line for line in lines[1:]):
         raise SchemaError(f"{path} has an underscore or non-ASCII text in a sweep row")
     try:
-        data = np.array(
-            [[float(v) for v in line.split(",")] for line in lines[1:]], dtype=float
-        )
+        data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     except ValueError as exc:
         raise SchemaError(f"{path} has malformed sweep rows: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != len(SWEEP_HEADER):

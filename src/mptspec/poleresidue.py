@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Complex, Integral
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .spectral import (
     _time_constant,
     mode_tensor,
 )
-from .tensors import ComplexSymTensor3, SymTensor3, unpack
+from .tensors import ComplexSymTensor3, SymTensor3, _number_array, _shown, is_number, unpack
 
 POLE_PROXIMITY_REL = 1e-12
 
@@ -54,14 +55,13 @@ class PoleResidueExpansion:
     _packed: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        poles, nv = _frozen(self.poles_s), _frozen(self.nv, int)
+        poles = _frozen(_number_array("poles", self.poles_s))
+        nv = _frozen(_number_array("Taylor-subtraction degrees", self.nv, Integral), int)
         object.__setattr__(self, "poles_s", poles)
         object.__setattr__(self, "nv", nv)
         object.__setattr__(self, "residues", tuple(self.residues))
         if poles.ndim != 1 or len(self.residues) != poles.size or nv.size != poles.size:
             raise InvalidInputError("poles, residues and nv must have equal length")
-        if not np.all(np.isfinite(poles)):
-            raise InvalidInputError("poles must be finite")
         if np.any(poles >= 0.0) or np.any(np.diff(poles) >= 0.0):
             raise InvalidInputError("poles must be negative and strictly decreasing")
         if np.any(nv < 0):
@@ -180,9 +180,11 @@ def evaluate(
     pole term) are returned as a second value for convergence monitoring;
     the full value is then the last of them.
     """
+    if not is_number(point, Complex):
+        raise DomainError(
+            f"evaluation point must be a finite number, got {_shown(point)}"
+        )
     point = complex(point)
-    if not np.isfinite(point):
-        raise DomainError(f"evaluation point must be finite, got {point}")
     if variable not in ("w", "s"):
         raise InvalidInputError(f"unknown variable {variable!r}")
     n0 = expansion.n0.coeffs

@@ -24,6 +24,8 @@ from .tensors import (
     ComplexSymTensor3,
     Rotation3,
     SymTensor3,
+    _number_array,
+    _shown,
     is_number,
     packed_index,
     rotate_tensor,
@@ -43,25 +45,25 @@ def _check_nu(x, name="nu", positive=False):
     # a dimensionless frequency, nu = omega mu0 sigma_star alpha^2
     if not (is_number(x) and (x > 0.0 if positive else x >= 0.0)):
         sign = "positive" if positive else "nonnegative"
-        raise DomainError(f"{name} must be finite and {sign}, got {x!r}")
+        raise DomainError(f"{name} must be finite and {sign}, got {_shown(x)}")
     return x
 
 
 def _check_positive(name, x):
     if not (is_number(x) and x > 0.0):
-        raise InvalidInputError(f"{name} must be positive and finite, got {x!r}")
+        raise InvalidInputError(f"{name} must be positive and finite, got {_shown(x)}")
 
 
 def _check_count(name, x, minimum):
     if not (is_number(x, Integral) and x >= minimum):
-        raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {x!r}")
+        raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {_shown(x)}")
     return x
 
 
 def _check_index(name, n, size):
     # 0-based, so no negative index counts from the end
     if not (is_number(n, Integral) and 0 <= n < size):
-        raise InvalidInputError(f"{name} {n!r} out of range")
+        raise InvalidInputError(f"{name} {_shown(n)} out of range")
     return n
 
 
@@ -112,14 +114,12 @@ class Mode:
         _check_positive("lam", self.lam)
         _check_count("multiplicity", self.multiplicity, 1)
         if not isinstance(self.dark, (bool, np.bool_)):
-            raise InvalidInputError(f"dark must be a bool, got {self.dark!r}")
-        c = _frozen(self.couplings)
+            raise InvalidInputError(f"dark must be a bool, got {_shown(self.dark)}")
+        c = _frozen(_number_array("couplings", self.couplings))
         if c.shape != (self.multiplicity, 3):
             raise InvalidInputError(
                 f"couplings must be {self.multiplicity}x3, got {c.shape}"
             )
-        if not np.all(np.isfinite(c)):
-            raise InvalidInputError("couplings must be finite")
         if not self.dark and np.abs(c).max() == 0.0:
             raise InvalidInputError("all-zero couplings require dark=True")
         object.__setattr__(self, "couplings", c)
@@ -149,7 +149,7 @@ class SpectralModel:
             raise InvalidInputError("topology_flag must be a string or None")
         bound = self.tail_bound
         if bound is not None and not (is_number(bound) and bound >= 0.0):
-            raise InvalidInputError(f"tail_bound must be finite and >= 0, got {bound!r}")
+            raise InvalidInputError(f"tail_bound must be finite and >= 0, got {_shown(bound)}")
         object.__setattr__(self, "modes", tuple(self.modes))
         lams = [m.lam for m in self.modes]
         if any(b <= a for a, b in zip(lams, lams[1:])):
@@ -177,10 +177,10 @@ class SpectralModel:
 
     def nu_from_omega(self, omega):
         """Dimensionless frequency nu = omega * sigma * mu0 * alpha^2."""
-        return np.asarray(omega, dtype=float) * self.time_constant
+        return _number_array("omega", omega) * self.time_constant
 
     def omega_from_nu(self, nu):
-        return np.asarray(nu, dtype=float) / self.time_constant
+        return _number_array("nu", nu) / self.time_constant
 
 
 @dataclass(frozen=True)
@@ -191,11 +191,11 @@ class FrequencyGrid:
     kind: str = "nu"
 
     def __post_init__(self):
-        v = _frozen(self.values)
+        v = _frozen(_number_array("grid values", self.values))
         if self.kind not in ("nu", "omega"):
             raise InvalidInputError("grid kind must be 'nu' or 'omega'")
-        if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)):
-            raise InvalidInputError("grid must be a finite 1-D array")
+        if v.ndim != 1 or v.size == 0:
+            raise InvalidInputError("grid must be a nonempty 1-D array")
         if np.any(v < 0.0) or np.any(np.diff(v) <= 0.0):
             raise InvalidInputError("grid must be nonnegative and strictly increasing")
         object.__setattr__(self, "values", v)
@@ -392,8 +392,8 @@ def modes_from_eigenvalues(
     split exact multiplicities and this undoes that.  Rows of zero-coupling
     groups are kept as dark modes.
     """
-    lams = np.asarray(lams, dtype=float)
-    rows = np.asarray(coupling_rows, dtype=float)
+    lams = _number_array("eigenvalues", lams)
+    rows = _number_array("coupling rows", coupling_rows)
     if lams.ndim != 1 or rows.shape != (lams.size, 3):
         raise InvalidInputError("need matching eigenvalue list and (n, 3) couplings")
     if np.any(np.diff(lams) < 0.0):

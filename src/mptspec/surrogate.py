@@ -35,6 +35,7 @@ from .spectral import (
 from .tensors import (
     Rotation3,
     SymTensor3,
+    _number_array,
     eigen_sym3,
     offdiag_bound_report,
     rotate_tensor,
@@ -57,14 +58,13 @@ class SurrogateProblem:
 
     def __post_init__(self):
         _check_scale(self.alpha, self.sigma_star)
-        k, t = _frozen(self.k_matrix), _frozen(self.theta0)
+        # numpy.linalg passes NaN and inf on to LAPACK unchecked
+        k = _frozen(_number_array("K", self.k_matrix))
+        t = _frozen(_number_array("theta0", self.theta0))
         if k.shape != (self.dim, self.dim):
             raise InvalidInputError("K must be dim x dim")
         if t.shape != (self.dim, 3):
             raise InvalidInputError("theta0 must be dim x 3")
-        # numpy.linalg passes NaN and inf on to LAPACK unchecked
-        if not (np.all(np.isfinite(k)) and np.all(np.isfinite(t))):
-            raise InvalidInputError("K and theta0 must be finite")
         if np.abs(k - k.T).max() > 1e-14 * max(np.abs(k).max(), 1.0):
             raise InvalidInputError("K must be symmetric to 1e-14")
         object.__setattr__(self, "k_matrix", k)
@@ -180,7 +180,11 @@ def _energy_direct(problem: SurrogateProblem, nu: float, theta1: np.ndarray):
     kt = problem.k_matrix @ theta1
     scale = problem.alpha**3 / 4.0
     r = -scale * np.real(theta1.conj().T @ kt)
-    i = (scale / nu) * np.real(kt.conj().T @ kt)
+    ohmic = np.real(kt.conj().T @ kt)
+    # where the weight alpha^3 / (4 nu) overflows, inf * 0 would give NaN;
+    # kt is of order nu there, so dividing by nu first stays finite
+    weight = scale / float(nu)
+    i = weight * ohmic if weight < np.inf else scale * (ohmic / nu)
     return (
         SymTensor3.from_matrix(0.5 * (r + r.T), asym_tol=1e-9),
         SymTensor3.from_matrix(0.5 * (i + i.T), asym_tol=1e-9),
@@ -309,7 +313,7 @@ def verify_identities(
     elif isinstance(nu_grid, FrequencyGrid):
         nus = nu_grid.values
     else:
-        nus = FrequencyGrid(np.asarray(nu_grid, dtype=float), "nu").values
+        nus = FrequencyGrid(nu_grid, "nu").values
     nus = nus[nus > 0.0]
 
     a3 = problem.alpha**3

@@ -8,6 +8,7 @@ polarizability tensors carry m^3, field quantities A/m.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -31,9 +32,42 @@ ORTHOGONALITY_TOL = 1e-12
 def is_number(x, kind=Real) -> bool:
     """A finite scalar of ``kind``, numpy scalars included, and not a bool."""
     try:
-        return isinstance(x, kind) and not isinstance(x, bool) and math.isfinite(x)
+        return isinstance(x, kind) and not isinstance(x, bool) and cmath.isfinite(x)
     except OverflowError:  # an int too large for a double
         return False
+
+
+def _shown(x) -> str:
+    # repr(x) for an error message; Python refuses to print an int of more
+    # than 4300 digits, so such an int shows its size instead
+    try:
+        return repr(x)
+    except ValueError:
+        return f"<int of {x.bit_length()} bits>"
+
+
+def _number_array(what: str, values, kind=Real) -> np.ndarray:
+    """A float (``kind=Real``) or int (``kind=Integral``) array of finite numbers.
+
+    A numeric ndarray of a matching dtype is not copied if it has the result's
+    dtype already; anything else is checked element by element by
+    :func:`is_number`, so a bool, a string, a complex value, None or a ragged
+    list raises InvalidInputError, never coerced.  Shapes are the caller's.
+    """
+    kinds, dtype = ("fiu", float) if kind is Real else ("iu", int)
+    if isinstance(values, np.ndarray) and values.dtype.kind in kinds:
+        a = values.astype(dtype, copy=False)
+        if np.isfinite(a).all():
+            return a
+    else:
+        try:
+            items = np.array(values, dtype=object)
+            if all(is_number(x, kind) for x in items.flat):
+                return items.astype(dtype)
+        except (ValueError, OverflowError):  # ragged, or an int beyond int64
+            pass
+    noun = "real numbers" if kind is Real else "integers"
+    raise InvalidInputError(f"{what} must be finite {noun}")
 
 
 def packed_index(i: int, j: int) -> int:
@@ -42,12 +76,16 @@ def packed_index(i: int, j: int) -> int:
     Raises InvalidInputError unless i and j are integers 0, 1 or 2.
     """
     if not all(is_number(k, Integral) and 0 <= k <= 2 for k in (i, j)):
-        raise InvalidInputError(f"tensor index ({i!r}, {j!r}) must be integers 0, 1 or 2")
+        raise InvalidInputError(
+            f"tensor index ({_shown(i)}, {_shown(j)}) must be integers 0, 1 or 2"
+        )
     return _PACK_IJ.index((min(i, j), max(i, j)))
 
 
-# packed position of each (row, column) entry of the dense matrix
+# packed position of each (row, column) entry of the dense matrix, and the
+# flat matrix position of each packed coefficient
 _UNPACK = np.array([[packed_index(i, j) for j in range(3)] for i in range(3)])
+_PACK_FLAT = np.array([3 * i + j for i, j in _PACK_IJ])
 
 
 def unpack(coeffs) -> np.ndarray:
@@ -67,11 +105,9 @@ class SymTensor3:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        c = np.asarray(coeffs, dtype=float)
+        c = _number_array("tensor coefficients", coeffs)
         if c.shape != (6,):
             raise InvalidInputError(f"expected 6 coefficients, got shape {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise InvalidInputError("tensor coefficients must be finite")
         self.coeffs = c
 
     @classmethod
@@ -93,7 +129,7 @@ class SymTensor3:
     @classmethod
     def from_matrix(cls, m, asym_tol: float = 1e-12) -> "SymTensor3":
         """Pack a dense symmetric matrix; reject if asymmetry exceeds tolerance."""
-        m = np.asarray(m, dtype=float)
+        m = _number_array("tensor coefficients", m)
         if m.shape != (3, 3):
             raise InvalidInputError(f"expected 3x3 matrix, got shape {m.shape}")
         scale = max(np.abs(m).max(), 1.0)
@@ -102,7 +138,9 @@ class SymTensor3:
         # halving the sum is exact, subnormals included, unless the sum
         # overflows; then halve first
         s = 0.5 * (m + m.T) if scale < 8e307 else 0.5 * m + 0.5 * m.T
-        return cls([s[i, j] for i, j in _PACK_IJ])
+        t = cls.__new__(cls)  # s is finite, as m is: no second check
+        t.coeffs = s.take(_PACK_FLAT)
+        return t
 
     @property
     def matrix(self) -> np.ndarray:
@@ -199,8 +237,11 @@ class Rotation3:
     __slots__ = ("matrix",)
 
     def __init__(self, q):
-        q = np.asarray(q, dtype=float)
-        if q.shape != (3, 3) or not np.all(np.isfinite(q)):
+        try:
+            q = _number_array("rotation", q)
+        except InvalidInputError as exc:
+            raise InvalidRotationError(str(exc)) from None
+        if q.shape != (3, 3):
             raise InvalidRotationError("rotation must be a finite 3x3 matrix")
         if np.abs(q.T @ q - np.eye(3)).max() > ORTHOGONALITY_TOL:
             raise InvalidRotationError("matrix is not orthogonal to 1e-12")
@@ -216,7 +257,9 @@ class Rotation3:
     def about_axis(cls, axis: int, angle: float) -> "Rotation3":
         """Right-handed rotation by `angle` radians about coordinate axis 0, 1 or 2."""
         if not (is_number(axis, Integral) and 0 <= axis <= 2 and is_number(angle)):
-            raise InvalidRotationError(f"axis {axis!r} must be 0..2 and angle {angle!r} finite")
+            raise InvalidRotationError(
+                f"axis {_shown(axis)} must be 0..2 and angle {_shown(angle)} finite"
+            )
         c, s = np.cos(angle), np.sin(angle)
         q = np.eye(3)
         a, b = [k for k in range(3) if k != axis]
@@ -256,12 +299,9 @@ def dipole_green_hessian(x, z) -> SymTensor3:
     a point so near that its entries would overflow raises
     :class:`SingularityError`.
     """
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
+    x, z = _number_array("points", x), _number_array("points", z)
     if x.shape != (3,) or z.shape != (3,):
         raise InvalidInputError("points must be 3-vectors")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z))):
-        raise InvalidInputError("points must be finite")
     r = x - z
     dist = math.hypot(*r)  # no squares to overflow or underflow
     if dist == 0.0:
@@ -286,11 +326,9 @@ def perturbed_field(x, z, m: SymTensor3 | ComplexSymTensor3, h0_at_z) -> np.ndar
     of ``h0_at_z``, complex for a complex tensor and real for a real one (a
     time-domain kernel); one that overflows raises NumericRangeError.
     """
-    h0 = np.asarray(h0_at_z, dtype=float)
+    h0 = _number_array("background field", h0_at_z)
     if h0.shape != (3,):
         raise InvalidInputError("background field must be a real 3-vector")
-    if not np.all(np.isfinite(h0)):
-        raise InvalidInputError("background field must be finite")
     d2g = dipole_green_hessian(x, z).matrix
     with np.errstate(over="ignore", invalid="ignore"):
         field = d2g @ (m.matrix @ h0)

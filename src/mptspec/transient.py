@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError, NumericRangeError
 from .spectral import SpectralModel, _core, _decay_rates, _frozen, limit_tensors, mode_tensor
-from .tensors import SymTensor3, perturbed_field
+from .tensors import SymTensor3, _number_array, is_number, perturbed_field
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,14 @@ class TransientKernel:
     truncation_bound: float = 0.0
 
     def __post_init__(self):
-        if not all(np.isfinite(s) and s < 0.0 for s, _ in self.exp_terms):
+        if not all(isinstance(t, SymTensor3) for t in (self.steady, self.delta_part)):
+            raise InvalidInputError("steady and delta_part must be SymTensor3")
+        if not all(
+            isinstance(term, tuple) and len(term) == 2 and isinstance(term[1], SymTensor3)
+            for term in self.exp_terms
+        ):
+            raise InvalidInputError("decay terms must be (rate, SymTensor3) pairs")
+        if not all(is_number(s) and s < 0.0 for s, _ in self.exp_terms):
             raise InvalidInputError("decay rates must be finite and negative")
 
     @classmethod
@@ -79,11 +86,12 @@ class TransientKernel:
 
         Zero at negative times; a non-finite time raises DomainError.
         """
-        t = np.asarray(times, dtype=float)
+        try:
+            t = _number_array("sample times", times)
+        except InvalidInputError as exc:
+            raise DomainError(str(exc)) from None
         if t.ndim != 1:
             raise InvalidInputError("sample times must be a 1-D array")
-        if not np.all(np.isfinite(t)):
-            raise DomainError("sample times must be finite")
         acc = np.tile(self.steady.coeffs, (t.size, 1))
         # the rates are negative, so s t overflows only towards -inf, where
         # exp gives the exact limit 0; negative times are zeroed below
@@ -133,13 +141,12 @@ class Waveform:
     values: np.ndarray
 
     def __post_init__(self):
-        t, v = _frozen(self.times), _frozen(self.values)
+        t = _frozen(_number_array("waveform times", self.times))
+        v = _frozen(_number_array("waveform values", self.values))
         if t.ndim != 1 or t.size < 1 or v.shape != t.shape:
             raise InvalidInputError("waveform needs matching 1-D times and values")
         if np.any(np.diff(t) <= 0.0):
             raise InvalidInputError("waveform times must be strictly increasing")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise InvalidInputError("waveform samples must be finite")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 
@@ -190,12 +197,8 @@ def convolve_excitation(
     O((Q + S) N) for Q query times, S waveform samples and N poles.  Output
     is one tensor per query time.
     """
-    t_query = np.asarray(query_times, dtype=float)
-    if (
-        t_query.ndim != 1
-        or not np.all(np.isfinite(t_query))
-        or np.any(np.diff(t_query) < 0.0)
-    ):
+    t_query = _number_array("query times", query_times)
+    if t_query.ndim != 1 or np.any(np.diff(t_query) < 0.0):
         raise InvalidInputError("query times must be a finite, nondecreasing 1-D array")
     if t_query.size == 0:
         return []

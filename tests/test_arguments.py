@@ -1,11 +1,12 @@
-"""The library's scalar-argument boundary.
+"""The library's argument boundary, for scalars and for arrays.
 
 Each scalar rule (a frequency nu, a positive parameter, a count, an index,
-a tensor axis), each public entry point that applies it and each bad value
-must raise the rule's ``MptError`` subclass: never a bare ``IndexError``,
-``TypeError``, ``ValueError`` or ``OverflowError``, and never a warning
-(pytest turns every warning into an error for this suite).  Valid edge
-values must still pass.
+a tensor axis), the array rule (finite real numbers, or integers), each
+public entry point that applies a rule and each bad value must raise the
+rule's ``MptError`` subclass: never a bare ``IndexError``, ``TypeError``,
+``ValueError`` or ``OverflowError``, never a silent coercion, and never a
+warning (pytest turns every warning into an error for this suite).  Valid
+edge values must still pass.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from mptspec import (
     DomainError,
+    FrequencyGrid,
     InvalidInputError,
     InvalidRotationError,
     Mode,
@@ -20,27 +22,36 @@ from mptspec import (
     Rotation3,
     SpectralModel,
     SphereSpec,
+    SurrogateProblem,
+    SweepData,
     SymTensor3,
+    TransientKernel,
+    Waveform,
     assemble,
     assemble_dlog,
     beta,
     beta_dlog,
     commutator_Z,
+    convolve_excitation,
+    dipole_green_hessian,
     direct_theta1,
     dominant_mode,
     energy_tensors_direct,
+    evaluate,
     fit_report,
     from_model,
     generate,
     mode_tensor,
+    modes_from_eigenvalues,
     mpt_sphere,
+    perturbed_field,
     residue_at_pole,
     select_truncation,
     sphere_poles,
     sphere_spectral_model,
     verify_identities,
 )
-from mptspec.fitting import default_fit_grid
+from mptspec.fitting import default_fit_grid, sweep_coefficients
 from mptspec.poleresidue import contour_residue
 from mptspec.surrogate import energy_tensors_alt
 from mptspec.tensors import packed_index
@@ -271,3 +282,235 @@ class TestTensorIndex:
         q = Rotation3.about_axis(np.int64(2), np.float64(np.pi / 2.0)).matrix
         assert np.allclose(q @ [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
         assert np.array_equal(Rotation3.about_axis(1, 0).matrix, np.eye(3))
+
+
+class TestHugeIntInMessage:
+    # Python refuses repr of an int past 4300 digits; the rule's message
+    # must not raise that ValueError in place of the rule's error
+    GIANT = 10**5000
+
+    def test_frequency(self):
+        with pytest.raises(DomainError, match="nu must be finite and nonnegative, got <int"):
+            assemble(MODEL, self.GIANT)
+
+    def test_positive(self):
+        with pytest.raises(InvalidInputError, match="lam must be positive and finite, got <int"):
+            Mode(self.GIANT, 1, [[1, 1, 1]])
+
+    def test_index(self):
+        with pytest.raises(InvalidInputError, match="mode index <int of 16610 bits> out of range"):
+            mode_tensor(MODEL, self.GIANT)
+
+    def test_tensor_index(self):
+        with pytest.raises(InvalidInputError, match="must be integers 0, 1 or 2"):
+            SymTensor3.zero()[self.GIANT, 0]
+
+
+class TestEvaluationPoint:
+    @pytest.mark.parametrize(
+        "bad", ["abc", None, "3", True, np.nan, complex(0.0, np.inf), HUGE, [1.0]],
+        ids=_ids(["abc", None, "3", True, np.nan, complex(0.0, np.inf), HUGE, [1.0]]),
+    )
+    @pytest.mark.parametrize("variable", ["w", "s"])
+    def test_rejects(self, bad, variable):
+        with pytest.raises(DomainError, match="evaluation point must be a finite number"):
+            evaluate(EXPANSION, bad, variable)
+
+    def test_numbers_of_every_kind_pass(self):
+        point = 0.5 + 2.0j
+        value = evaluate(EXPANSION, point).matrix
+        assert np.array_equal(evaluate(EXPANSION, np.complex64(point)).matrix, value)
+        assert np.array_equal(evaluate(EXPANSION, 3).matrix, evaluate(EXPANSION, 3.0).matrix)
+        evaluate(EXPANSION, np.float64(-1.0), "s")
+
+
+class TestKernelTerms:
+    @pytest.mark.parametrize("rate", ["a", None, -HUGE, 0.0, 1.0, np.nan, -np.inf, True],
+                             ids=_ids(["a", None, -HUGE, 0.0, 1.0, np.nan, -np.inf, True]))
+    def test_rate_rejected(self, rate):
+        with pytest.raises(InvalidInputError, match="finite and negative"):
+            TransientKernel(SymTensor3.zero(), SymTensor3.zero(), ((rate, SymTensor3.zero()),))
+
+    @pytest.mark.parametrize("terms", [((-1.0, "x"),), ((-1.0,),), (-1.0,)], ids=["x", "1", "flat"])
+    def test_term_must_be_a_rate_and_a_tensor(self, terms):
+        with pytest.raises(InvalidInputError, match="decay terms must be"):
+            TransientKernel(SymTensor3.zero(), SymTensor3.zero(), terms)
+
+    @pytest.mark.parametrize("part", ["steady", "delta_part"])
+    def test_parts_must_be_tensors(self, part):
+        parts = {"steady": SymTensor3.zero(), "delta_part": SymTensor3.zero(), part: [0.0] * 6}
+        with pytest.raises(InvalidInputError, match="steady and delta_part"):
+            TransientKernel(exp_terms=(), **parts)
+
+    def test_numpy_rates_pass(self):
+        kernel = TransientKernel(
+            SymTensor3.zero(), SymTensor3.zero(), ((np.float64(-2.0), SymTensor3.identity()),)
+        )
+        assert kernel.slowest_rate() == -2.0
+
+
+# the array rule: each site is (error, valid nested-list argument, call);
+# every valid argument holds integers, so an int array of it is valid too
+SWEEP_NU = default_fit_grid(1.0, 8)
+SWEEP_R, SWEEP_I = sweep_coefficients(MODEL, SWEEP_NU)
+WAVE = Waveform([0.0, 1.0], [0.0, 1.0])
+KERNEL = TransientKernel.impulse(MODEL)
+EYE = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+K_INT = [[2, 1, 0], [1, 2, 0], [0, 0, 3]]
+
+
+def _problem(k=K_INT, theta0=EYE):
+    return SurrogateProblem(3, k, theta0, 1.0, 1.0, FrequencyGrid([1.0, 2.0]))
+
+
+def _poles(poles_s=(-1, -2), nv=(0, 1)):
+    return PoleResidueExpansion(SymTensor3.zero(), poles_s, (SymTensor3.isotropic(-1.0),) * 2,
+                                nv, 1.0, 1.0)
+
+
+REAL_SITES = {
+    "SymTensor3": (InvalidInputError, [1, 2, 3, 0, 0, 0], SymTensor3),
+    "SymTensor3.from_matrix": (InvalidInputError, EYE, SymTensor3.from_matrix),
+    "Rotation3": (InvalidRotationError, EYE, Rotation3),
+    "dipole_green_hessian x": (InvalidInputError, [1, 0, 0],
+                               lambda x: dipole_green_hessian(x, [0.0, 0.0, 0.0])),
+    "dipole_green_hessian z": (InvalidInputError, [0, 0, 0],
+                               lambda z: dipole_green_hessian([1.0, 0.0, 0.0], z)),
+    "perturbed_field h0": (InvalidInputError, [1, 0, 0],
+                           lambda h: perturbed_field([1.0, 0, 0], [0.0, 0, 0], MODEL.n0, h)),
+    "Mode.couplings": (InvalidInputError, [[1, 0, 0], [0, 1, 0]], lambda c: Mode(1.0, 2, c)),
+    "FrequencyGrid": (InvalidInputError, [0, 1, 2], FrequencyGrid),
+    "modes_from_eigenvalues lams": (InvalidInputError, [1, 2],
+                                    lambda x: modes_from_eigenvalues(x, np.eye(2, 3))),
+    "modes_from_eigenvalues rows": (InvalidInputError, [[1, 0, 0], [0, 1, 0]],
+                                    lambda x: modes_from_eigenvalues([1.0, 2.0], x)),
+    "nu_from_omega": (InvalidInputError, [1, 2], MODEL.nu_from_omega),
+    "omega_from_nu": (InvalidInputError, [1, 2], MODEL.omega_from_nu),
+    "Waveform times": (InvalidInputError, [0, 1], lambda t: Waveform(t, [0.0, 1.0])),
+    "Waveform values": (InvalidInputError, [0, 1], lambda v: Waveform([0.0, 1.0], v)),
+    "convolve_excitation": (InvalidInputError, [0, 1, 2],
+                            lambda t: convolve_excitation(MODEL, WAVE, t)),
+    # a non-finite sample time is outside the kernel's domain
+    "TransientKernel.sample": (DomainError, [0, 1], KERNEL.sample),
+    "SweepData nu": (InvalidInputError, [0, 1, 2, 3], lambda x: SweepData(x, [0.0, 1, 2, 3])),
+    "SweepData values": (InvalidInputError, [0, 1, 2, 3], lambda x: SweepData([0.0, 1, 2, 3], x)),
+    "fit_report nu": (InvalidInputError, SWEEP_NU.tolist(),
+                      lambda x: fit_report((x, SWEEP_R, SWEEP_I), 1.0)),
+    "fit_report R": (InvalidInputError, SWEEP_R.tolist(),
+                     lambda x: fit_report((SWEEP_NU, x, SWEEP_I), 1.0)),
+    "fit_report I": (InvalidInputError, SWEEP_I.tolist(),
+                     lambda x: fit_report((SWEEP_NU, SWEEP_R, x), 1.0)),
+    "PoleResidueExpansion.poles_s": (InvalidInputError, [-1, -2], lambda x: _poles(poles_s=x)),
+    "SurrogateProblem K": (InvalidInputError, K_INT, lambda x: _problem(k=x)),
+    "SurrogateProblem theta0": (InvalidInputError, EYE, lambda x: _problem(theta0=x)),
+    "verify_identities nu_grid": (InvalidInputError, [1, 2],
+                                  lambda x: verify_identities(PROBLEM, nu_grid=x)),
+}
+# the fit's sweep data is not integral
+INTEGRAL_BASES = [site for site in REAL_SITES if not site.startswith("fit_report")]
+
+# bad as one element of a list, and as an element of an ndarray, whose
+# dtype is then float, complex, str or object
+BAD_ELEMENTS = [np.nan, np.inf, -np.inf, "1", "a", True, 1j, None, HUGE]
+BAD_IN_ARRAYS = [np.nan, np.inf, -np.inf, 1j, "1", None]
+
+
+def _with_first(value, bad):
+    # the nested list `value` with its first number replaced by `bad`
+    if isinstance(value, list):
+        return [_with_first(value[0], bad), *value[1:]]
+    return bad
+
+
+def _ragged(value):
+    # rows of unequal length, or a row among numbers
+    if isinstance(value[0], list):
+        return [value[0], value[1][:-1], *value[2:]]
+    return [value[:1], *value[1:]]
+
+
+class TestRealArray:
+    @pytest.mark.parametrize("bad", BAD_ELEMENTS, ids=_ids(BAD_ELEMENTS))
+    @pytest.mark.parametrize("site", REAL_SITES)
+    def test_bad_element_rejected(self, site, bad):
+        error, valid, call = REAL_SITES[site]
+        with pytest.raises(error, match="must be finite real numbers"):
+            call(_with_first(valid, bad))
+
+    @pytest.mark.parametrize("bad", BAD_IN_ARRAYS, ids=_ids(BAD_IN_ARRAYS))
+    @pytest.mark.parametrize("site", REAL_SITES)
+    def test_bad_element_of_an_ndarray_rejected(self, site, bad):
+        error, valid, call = REAL_SITES[site]
+        with pytest.raises(error, match="must be finite real numbers"):
+            call(np.array(_with_first(valid, bad)))
+
+    @pytest.mark.parametrize("site", REAL_SITES)
+    def test_ragged_and_non_arrays_rejected(self, site):
+        # (verify_identities takes nu_grid=None for its own grid)
+        error, valid, call = REAL_SITES[site]
+        for bad in (_ragged(valid), "abc", {0: 1.0}):
+            with pytest.raises(error, match="must be finite real numbers"):
+                call(bad)
+
+    @pytest.mark.parametrize("site", REAL_SITES)
+    def test_lists_and_float32_pass(self, site):
+        _, valid, call = REAL_SITES[site]
+        call(valid)
+        call(np.array(valid, dtype=float).tolist())
+        call(np.array(valid, dtype=np.float32))
+
+    @pytest.mark.parametrize("site", INTEGRAL_BASES)
+    def test_int_arrays_pass(self, site):
+        _, valid, call = REAL_SITES[site]
+        call(np.array(valid, dtype=np.int64))
+        call(np.array(valid, dtype=np.int32))
+
+    @pytest.mark.parametrize("empty", [[], (), np.array([]), np.array([], dtype=int)],
+                             ids=["list", "tuple", "float", "int"])
+    def test_empty_query_times_pass(self, empty):
+        assert convolve_excitation(MODEL, WAVE, empty) == []
+
+    def test_stored_arrays_are_float(self):
+        assert Mode(1.0, 1, [[1, 0, 0]]).couplings.dtype == np.float64
+        assert FrequencyGrid(np.array([1, 2], dtype=np.uint8)).values.tolist() == [1.0, 2.0]
+        coeffs = np.arange(6.0)
+        assert SymTensor3(coeffs).coeffs is coeffs  # float64 is not copied
+
+    @pytest.mark.parametrize("r_cols, i_cols", [(5, 6), (6, 5), (5, 5), (7, 6)])
+    def test_fit_report_rows_need_six_columns(self, r_cols, i_cols):
+        nu = np.linspace(0.1, 1.0, 10)
+        with pytest.raises(InvalidInputError, match=r"\(points, 6\)"):
+            fit_report((nu, np.ones((10, r_cols)), np.ones((10, i_cols))), 1.0)
+
+    def test_fit_report_nu_must_match_the_rows(self):
+        with pytest.raises(InvalidInputError, match=r"\(points, 6\)"):
+            fit_report((SWEEP_NU[:-1], SWEEP_R, SWEEP_I), 1.0)
+        with pytest.raises(InvalidInputError, match=r"\(points, 6\)"):
+            fit_report((SWEEP_NU[:, None], SWEEP_R, SWEEP_I), 1.0)
+
+
+NV_BAD = [0.5, 1.9, True, "2", np.nan, np.inf, 1j, None, HUGE, 2**63]
+
+
+class TestIntegerArray:
+    @pytest.mark.parametrize("bad", NV_BAD, ids=_ids(NV_BAD))
+    def test_bad_degree_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match="must be finite integers"):
+            _poles(nv=[bad, 0])
+
+    @pytest.mark.parametrize("bad", [[0.5, 1], [1.0, 0.0], ["2", 0], [1j, 0]])
+    def test_ndarray_of_non_integers_rejected(self, bad):
+        # a float array is refused even when its values are whole
+        with pytest.raises(InvalidInputError, match="must be finite integers"):
+            _poles(nv=np.array(bad))
+
+    def test_ragged_rejected(self):
+        with pytest.raises(InvalidInputError, match="must be finite integers"):
+            _poles(nv=[[0], 1])
+
+    @pytest.mark.parametrize("nv", [[0, 1], (2, 0), np.array([0, 3]), np.array([1, 0], np.uint8),
+                                    [np.int32(1), np.int64(2)]],
+                             ids=["list", "tuple", "int64", "uint8", "numpy ints"])
+    def test_integers_pass(self, nv):
+        stored = _poles(nv=nv).nv
+        assert stored.dtype == np.int64 and stored.tolist() == [int(k) for k in nv]

@@ -250,6 +250,16 @@ class TestEnergyTensors:
         with pytest.raises(DomainError):
             energy_tensors_direct(generate(4, seed=0), 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("nu", [5e-324, np.float64(5e-324), 1e-310])
+    def test_subnormal_nu_gives_finite_tensors(self, nu):
+        # the Ohmic weight alpha^3 / (4 nu) overflows here, and inf * 0 must
+        # not reach the tensor as NaN
+        p = generate(3, seed=1)
+        r, i = energy_tensors_direct(p, nu)
+        assert np.all(np.isfinite(r.coeffs)) and np.all(np.isfinite(i.coeffs))
+        assert np.all(i.coeffs == 0.0)
+
     def test_direct_route_never_reads_the_spectral_core(self, monkeypatch):
         import mptspec.spectral
 
@@ -427,3 +437,28 @@ def test_every_raise_in_the_package_is_an_mpt_error():
     modules = sorted(src.glob("*.py"))
     assert modules
     assert [hit for path in modules for hit in _non_mpt_raises(path)] == []
+
+
+def _typed_conversions(path: Path) -> list[str]:
+    # each np.asarray/np.array call that converts with dtype=float or int
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func) in ("np.asarray", "np.array")
+            and any(
+                k.arg == "dtype" and ast.unparse(k.value) in ("float", "int")
+                for k in node.keywords
+            )
+        ):
+            hits.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    return hits
+
+
+def test_every_array_argument_goes_through_the_one_rule():
+    # a float or int conversion coerces bools, numeric strings and complex
+    # values; argument arrays go through tensors._number_array instead
+    src = Path(__file__).resolve().parents[1] / "src" / "mptspec"
+    modules = sorted(src.glob("*.py"))
+    assert modules
+    assert [hit for path in modules for hit in _typed_conversions(path)] == []
