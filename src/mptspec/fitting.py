@@ -31,7 +31,7 @@ from scipy.optimize import minimize_scalar
 
 from .errors import InvalidInputError, NoFitError, NumericRangeError
 from .spectral import SpectralModel, _check_count, _check_nu, _frozen, assemble
-from .tensors import PACKED_LABELS, _number_array
+from .tensors import PACKED_LABELS, _number_array, _shown
 
 _SCREEN_PER_DECADE = 4  # screening grid points per decade of rate
 _SCREEN_MARGIN = 3  # decades the screening grid reaches past the sampled nu
@@ -141,7 +141,7 @@ def fit_dominant(data: SweepData, kind: str) -> FitResult:
     residual wins.  Degenerate all-zero data raises.
     """
     if kind not in ("R", "I"):
-        raise InvalidInputError(f"fit kind must be 'R' or 'I', got {kind!r}")
+        raise InvalidInputError(f"fit kind must be 'R' or 'I', got {_shown(kind)}")
     nu, values = data.nu, data.values
     if nu.size < 4:
         raise NoFitError("need at least 4 data points")
@@ -274,7 +274,11 @@ def fit_report(
         nu = default_fit_grid(nu_max, points)
         r_rows, i_rows = sweep_coefficients(source, nu)
     else:
-        nu, r_rows, i_rows = (_number_array("sweep data", x) for x in source)
+        try:
+            nu, r_rows, i_rows = source
+        except (TypeError, ValueError):  # not an iterable of three items
+            raise InvalidInputError("sweep data must be a model or (nu, R rows, I rows)") from None
+        nu, r_rows, i_rows = (_number_array("sweep data", x) for x in (nu, r_rows, i_rows))
         if nu.ndim != 1 or not r_rows.shape == i_rows.shape == (nu.size, 6):
             raise InvalidInputError("sweep data must be 1-D nu with (points, 6) R and I rows")
         keep = nu <= nu_max

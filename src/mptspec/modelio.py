@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .spectral import Mode, SpectralModel
-from .tensors import PACKED_LABELS, SymTensor3
+from .tensors import PACKED_LABELS, SymTensor3, _shown
 
 SCHEMA_VERSION = 1
 
@@ -69,7 +69,7 @@ def document_to_model(doc: dict) -> SpectralModel:
     try:
         version = doc["schema_version"]
         if type(version) is not int or version != SCHEMA_VERSION:
-            raise SchemaError(f"unsupported schema_version {version!r}")
+            raise SchemaError(f"unsupported schema_version {_shown(version)}")
         n0 = SymTensor3(doc["N0"])
         modes = tuple(
             Mode(
@@ -101,7 +101,8 @@ def load_model(path: str) -> SpectralModel:
     with open(path) as handle:
         try:
             doc = json.load(handle)
-        except json.JSONDecodeError as exc:
+        # a JSONDecodeError, or an integer literal past Python's 4300 digits
+        except ValueError as exc:
             raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
     return document_to_model(doc)
 

@@ -119,7 +119,7 @@ def from_model(model: SpectralModel, truncation: str = "zero") -> PoleResidueExp
         nv = [select_truncation(expansion, n) for n in range(poles.size)]
         object.__setattr__(expansion, "nv", _frozen(nv, int))
         return expansion
-    raise InvalidInputError(f"unknown truncation policy {truncation!r}")
+    raise InvalidInputError(f"unknown truncation policy {_shown(truncation)}")
 
 
 def select_truncation(expansion: PoleResidueExpansion, n: int) -> int:
@@ -186,7 +186,7 @@ def evaluate(
         )
     point = complex(point)
     if variable not in ("w", "s"):
-        raise InvalidInputError(f"unknown variable {variable!r}")
+        raise InvalidInputError(f"unknown variable {_shown(variable)}")
     n0 = expansion.n0.coeffs
     with np.errstate(over="ignore", invalid="ignore"):
         w = point if variable == "w" else -point * expansion.scale_w_per_s
@@ -199,7 +199,8 @@ def evaluate(
         raise NumericRangeError("the expansion leaves the float range at this point")
     if not return_partial_sums:
         return _complex_tensor(sums)
-    partials = [_complex_tensor(row) for row in sums]
+    rows = zip(SymTensor3._rows(sums.real), SymTensor3._rows(sums.imag))
+    partials = [ComplexSymTensor3(r, i) for r, i in rows]
     full = partials[-1] if partials else _complex_tensor(n0.astype(complex))
     return full, partials
 

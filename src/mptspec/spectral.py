@@ -24,6 +24,7 @@ from .tensors import (
     ComplexSymTensor3,
     Rotation3,
     SymTensor3,
+    _PACK_FLAT,
     _number_array,
     _shown,
     is_number,
@@ -144,7 +145,7 @@ class SpectralModel:
     def __post_init__(self):
         _check_scale(self.alpha, self.sigma_star)
         if self.provenance not in PROVENANCES:
-            raise InvalidInputError(f"unknown provenance {self.provenance!r}")
+            raise InvalidInputError(f"unknown provenance {_shown(self.provenance)}")
         if not isinstance(self.topology_flag, (str, type(None))):
             raise InvalidInputError("topology_flag must be a string or None")
         bound = self.tail_bound
@@ -254,7 +255,8 @@ def mode_tensor(model: SpectralModel, n: int) -> SymTensor3:
     """
     mode = model.modes[_check_index("mode index", n, len(model.modes))]
     scale = -(model.alpha**3) * mode.lam / 4.0
-    return SymTensor3.from_matrix(scale * mode.gram())
+    # C^T C is exactly symmetric, so its packed entries are the tensor
+    return SymTensor3((scale * mode.gram()).take(_PACK_FLAT))
 
 
 def _core(model: SpectralModel) -> tuple[np.ndarray, np.ndarray]:
@@ -310,7 +312,7 @@ def assemble(
     I(nu) = -sum_n [nu lam_n/(nu^2+lam_n^2)] A_n positive semidefinite, and
     M = N0 + R + iI.
     """
-    r_t, i_t = map(SymTensor3, _packed_ri(model, _check_nu(nu)))
+    r_t, i_t = SymTensor3._rows(_packed_ri(model, _check_nu(nu)))
     return r_t, i_t, ComplexSymTensor3(model.n0 + r_t, i_t)
 
 
@@ -320,7 +322,7 @@ def assemble_dlog(
     """Log-frequency derivatives (dR/dlog, d2R/dlog2, dI/dlog) at nu > 0."""
     _check_nu(nu, positive=True)
     lams, a = _core(model)
-    return tuple(map(SymTensor3, _contract(np.stack(_dlog_parts(nu, lams)), a)))
+    return tuple(SymTensor3._rows(_contract(np.stack(_dlog_parts(nu, lams)), a)))
 
 
 def limit_tensors(model: SpectralModel) -> tuple[SymTensor3, SymTensor3]:
@@ -369,7 +371,7 @@ def commutator_Z(
         pick = 0 if kind == "RR" else 1
         rows = np.stack((_packed_ri(model, nu1)[pick], _packed_ri(model, nu2)[pick]))
     else:
-        raise InvalidInputError(f"unknown commutator kind {kind!r}")
+        raise InvalidInputError(f"unknown commutator kind {_shown(kind)}")
     # a power of two scales each factor to a largest entry below 1, exactly,
     # so the products cannot overflow and in-range results do not move
     ea, eb = (math.frexp(peak)[1] for peak in np.abs(rows).max(axis=1).tolist())

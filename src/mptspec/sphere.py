@@ -34,7 +34,7 @@ from .spectral import (
     _check_scale,
     _time_constant,
 )
-from .tensors import SymTensor3
+from .tensors import SymTensor3, _shown, is_number
 
 _SERIES_SWITCH = 0.2  # |v| below which the small-argument series is used
 
@@ -284,8 +284,8 @@ def sphere_spectral_model(
     """
     _check_count("n_modes", n_modes, 1)
     _check_count("tail_modes", 0 if tail_modes is None else tail_modes, 0)
-    if not 0.0 < f_band[0] < f_band[1] < np.inf:
-        raise InvalidInputError(f"f_band must be finite, positive, increasing: {f_band!r}")
+    if not (is_number(f_band[0]) and is_number(f_band[1]) and 0.0 < f_band[0] < f_band[1]):
+        raise InvalidInputError(f"f_band must be finite, positive, increasing: {_shown(f_band)}")
     counts = (8, 16, 24) if tail_modes is None else ((tail_modes,) if tail_modes else ())
     # one root scan also yields lam_{N+1}, which anchors the tail basis; the
     # scan finds roots in order, so its first N equal sphere_poles(spec, N)
@@ -303,7 +303,7 @@ def sphere_spectral_model(
     nu_band = (2.0 * np.pi * f_band[0] * tau, 2.0 * np.pi * f_band[1] * tau)
     # the tail fit samples up to 200 times the band's top
     if counts and not 200.0 * nu_band[1] < np.inf:
-        raise NumericRangeError(f"f_band {f_band!r} exceeds the float range in units of nu")
+        raise NumericRangeError(f"f_band {_shown(f_band)} exceeds the float range in units of nu")
     all_lams, all_residues = lams, residues
     if counts:
         lam_tail, res_tail, _ = _fit_tail(

@@ -36,6 +36,7 @@ from .tensors import (
     Rotation3,
     SymTensor3,
     _number_array,
+    _shown,
     eigen_sym3,
     offdiag_bound_report,
     rotate_tensor,
@@ -83,7 +84,7 @@ def _spectrum(dim: int, shape: str) -> np.ndarray:
         jitter = np.zeros(dim)
         jitter[1::2] = _CLUSTER_REL_GAP * base[1::2]
         return base + jitter
-    raise InvalidInputError(f"unknown spectrum shape {shape!r}")
+    raise InvalidInputError(f"unknown spectrum shape {_shown(shape)}")
 
 
 def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -39,11 +39,14 @@ def is_number(x, kind=Real) -> bool:
 
 def _shown(x) -> str:
     # repr(x) for an error message; Python refuses to print an int of more
-    # than 4300 digits, so such an int shows its size instead
+    # than 4300 digits, so such an int shows its size instead, and a
+    # container holding one its type and length
     try:
         return repr(x)
     except ValueError:
-        return f"<int of {x.bit_length()} bits>"
+        if isinstance(x, int):
+            return f"<int of {x.bit_length()} bits>"
+        return f"<{type(x).__name__} of {len(x)} items>"
 
 
 def _number_array(what: str, values, kind=Real) -> np.ndarray:
@@ -109,6 +112,17 @@ class SymTensor3:
         if c.shape != (6,):
             raise InvalidInputError(f"expected 6 coefficients, got shape {c.shape}")
         self.coeffs = c
+
+    @classmethod
+    def _rows(cls, coeffs) -> list["SymTensor3"]:
+        """One tensor per row of (k, 6) coefficients, checked once as a whole."""
+        c = _number_array("tensor coefficients", coeffs)
+        if c.ndim != 2 or c.shape[1] != 6:
+            raise InvalidInputError(f"expected (k, 6) coefficients, got shape {c.shape}")
+        tensors = [cls.__new__(cls) for _ in c]
+        for t, row in zip(tensors, c):
+            t.coeffs = row  # a view of c, as SymTensor3(row) keeps; finite, as c is
+        return tensors
 
     @classmethod
     def zero(cls) -> "SymTensor3":

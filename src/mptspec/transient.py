@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidInputError, NumericRangeError
 from .spectral import SpectralModel, _core, _decay_rates, _frozen, limit_tensors, mode_tensor
-from .tensors import SymTensor3, _number_array, is_number, perturbed_field
+from .tensors import SymTensor3, _number_array, _shown, is_number, perturbed_field
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,8 @@ class TransientKernel:
             raise NumericRangeError(
                 "impulse kernel at t = 0 (the sum of the terms s_n A_n) exceeds the float range"
             )
-        terms = tuple(
-            (s_n, s_n * mode_tensor(model, n)) for n, s_n in enumerate(rates.tolist())
-        )
+        a = np.reshape([mode_tensor(model, n).coeffs for n in range(rates.size)], (-1, 6))
+        terms = tuple(zip(rates.tolist(), SymTensor3._rows(rates[:, None] * a)))
         return cls(
             steady=SymTensor3.zero(),
             delta_part=minf,
@@ -164,15 +163,13 @@ class Waveform:
         misses the next sample by about 1e-11.  Where that matters, rebuild
         each piece about its own start as u(t0) + b*(tau - t0).
         """
-        pieces = []
         times, values = self.times, self.values
-        for k in range(times.size - 1):
-            t0, t1 = times[k], times[k + 1]
-            if t0 >= t:
-                break
-            hi = min(t1, t)
-            slope = (values[k + 1] - values[k]) / (t1 - t0)
-            pieces.append((t0, hi, values[k] - slope * t0, slope))
+        # the pieces that start before t, all at once
+        m = min(int(np.searchsorted(times, t)), times.size - 1)
+        t0, t1 = times[:m], times[1 : m + 1]
+        slope = np.diff(values[: m + 1]) / (t1 - t0)
+        columns = (t0, np.minimum(t1, t), values[:m] - slope * t0, slope)
+        pieces = list(zip(*(c.tolist() for c in columns)))
         if t > times[-1]:
             pieces.append((times[-1], t, float(values[-1]), 0.0))
         return pieces
@@ -221,13 +218,15 @@ def convolve_excitation(
     states = np.zeros((grid.size, rates.size))
     states[1:] = u0[:, None] * em1 + b[:, None] * (em1 / rates - h[:, None])
     decay = np.exp(z)
-    for j in range(h.size):
-        states[j + 1] += decay[j] * states[j]
+    prev = states[0]
+    for d, cur in zip(decay, states[1:]):
+        cur += d * prev
+        prev = cur
 
     # queries at or before the first sample map to grid[0], where x = 0
     coeffs = np.outer(excitation(t_query), minf.coeffs)
     coeffs += states[np.searchsorted(grid, t_query)] @ residues
-    return [SymTensor3(row) for row in coeffs]
+    return SymTensor3._rows(coeffs)
 
 
 def transient_field(
@@ -253,4 +252,4 @@ def transient_field(
             perturbed_field(x, z, smooth, h0_at_z),
             perturbed_field(x, z, delta, h0_at_z),
         )
-    raise InvalidInputError(f"unknown excitation kind {excitation_kind!r}")
+    raise InvalidInputError(f"unknown excitation kind {_shown(excitation_kind)}")

@@ -18,9 +18,11 @@ from mptspec import (
     InvalidInputError,
     InvalidRotationError,
     Mode,
+    NumericRangeError,
     PoleResidueExpansion,
     Rotation3,
     SpectralModel,
+    SchemaError,
     SphereSpec,
     SurrogateProblem,
     SweepData,
@@ -38,6 +40,7 @@ from mptspec import (
     dominant_mode,
     energy_tensors_direct,
     evaluate,
+    fit_dominant,
     fit_report,
     from_model,
     generate,
@@ -49,9 +52,11 @@ from mptspec import (
     select_truncation,
     sphere_poles,
     sphere_spectral_model,
+    transient_field,
     verify_identities,
 )
 from mptspec.fitting import default_fit_grid, sweep_coefficients
+from mptspec.modelio import document_to_model
 from mptspec.poleresidue import contour_residue
 from mptspec.surrogate import energy_tensors_alt
 from mptspec.tensors import packed_index
@@ -305,6 +310,52 @@ class TestHugeIntInMessage:
         with pytest.raises(InvalidInputError, match="must be integers 0, 1 or 2"):
             SymTensor3.zero()[self.GIANT, 0]
 
+    # the messages outside the scalar rules name the bad value the same way
+    def test_provenance(self):
+        with pytest.raises(InvalidInputError, match="unknown provenance <int of 16610 bits>"):
+            SpectralModel(0.01, 1e6, SymTensor3.zero(), (), provenance=self.GIANT)
+
+    def test_evaluate_variable(self):
+        with pytest.raises(InvalidInputError, match="unknown variable <int of 16610 bits>"):
+            evaluate(EXPANSION, 1j, variable=self.GIANT)
+
+    def test_commutator_kind(self):
+        with pytest.raises(InvalidInputError, match="commutator kind <int of 16610 bits>"):
+            commutator_Z(MODEL, 1.0, kind=self.GIANT)
+
+    def test_truncation(self):
+        with pytest.raises(InvalidInputError, match="truncation policy <int of 16610 bits>"):
+            from_model(MODEL, self.GIANT)
+
+    def test_excitation_kind(self):
+        with pytest.raises(InvalidInputError, match="excitation kind <int of 16610 bits>"):
+            transient_field([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], MODEL, [1.0, 0.0, 0.0],
+                            self.GIANT, 1.0)
+
+    def test_fit_kind(self):
+        data = SweepData(np.linspace(0.1, 1.0, 5), np.ones(5))
+        with pytest.raises(InvalidInputError, match="got <int of 16610 bits>"):
+            fit_dominant(data, self.GIANT)
+
+    def test_spectrum_shape(self):
+        with pytest.raises(InvalidInputError, match="spectrum shape <int of 16610 bits>"):
+            generate(3, 1, self.GIANT)
+
+    def test_schema_version(self):
+        with pytest.raises(SchemaError, match="schema_version <int of 16610 bits>"):
+            document_to_model({"schema_version": self.GIANT})
+
+    def test_f_band(self):
+        # a giant upper edge is not a finite number; the band shows its size
+        with pytest.raises(InvalidInputError, match="increasing: <tuple of 2 items>"):
+            sphere_spectral_model(SPEC, 3, f_band=(1e-2, self.GIANT))
+
+    def test_f_band_out_of_float_range(self):
+        # only the first two entries are read; the message shows them all
+        with pytest.raises(NumericRangeError, match="f_band <list of 3 items> exceeds"):
+            sphere_spectral_model(SphereSpec(1e4, 0.01, 1e300), 3,
+                                  f_band=[1e-2, 1e8, self.GIANT])
+
 
 class TestEvaluationPoint:
     @pytest.mark.parametrize(
@@ -481,6 +532,12 @@ class TestRealArray:
         nu = np.linspace(0.1, 1.0, 10)
         with pytest.raises(InvalidInputError, match=r"\(points, 6\)"):
             fit_report((nu, np.ones((10, r_cols)), np.ones((10, i_cols))), 1.0)
+
+    @pytest.mark.parametrize("source", [None, 1.0, (SWEEP_NU, SWEEP_R), [SWEEP_NU] * 4],
+                             ids=["None", "float", "pair", "four"])
+    def test_fit_report_source_must_be_three_arrays(self, source):
+        with pytest.raises(InvalidInputError, match="sweep data must be a model or"):
+            fit_report(source, 1.0)
 
     def test_fit_report_nu_must_match_the_rows(self):
         with pytest.raises(InvalidInputError, match=r"\(points, 6\)"):

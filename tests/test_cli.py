@@ -185,6 +185,17 @@ class TestExitCodes:
         out = tmp_path / "x.csv"
         assert main(["sweep", "--model", str(bad), "--fmax", "1", "--out", str(out)]) == 1
 
+    def test_integer_literal_past_the_digit_limit_is_one(self, tmp_path):
+        # json.load refuses an int of more than 4300 digits with a ValueError
+        # that is not a JSONDecodeError
+        big = tmp_path / "big.json"
+        big.write_text('{"schema_version": ' + "1" * 5000 + "}")
+        out = tmp_path / "x.csv"
+        code, err = _run_quietly(["sweep", "--model", str(big), "--fmax", "1", "--out", str(out)])
+        assert code == 1
+        assert err.startswith("error: invalid JSON in ")
+        assert "Traceback" not in err
+
 
 # numeric CLI arguments the subcommands accepted, coerced or failed late on;
 # "MODEL" stands for a model file, and the test appends --out

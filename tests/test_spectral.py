@@ -154,6 +154,35 @@ class TestModeTensor:
             assert np.all(w <= 1e-14 * max(a.norm(), 1e-300))
             assert (w < -1e-12 * a.norm()).sum() <= mult
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_packing_matches_from_matrix_bit_for_bit(self, seed):
+        # multiplicities 1-6, coupling magnitudes 1e-150 to 1e150 with some
+        # exact zeros, dark modes included
+        rng = np.random.default_rng(seed)
+        modes = []
+        for lam in np.cumsum(rng.uniform(0.1, 3.0, int(rng.integers(1, 5)))):
+            mult = int(rng.integers(1, 7))
+            c = rng.choice([-1.0, 1.0], (mult, 3)) * 10.0 ** rng.uniform(-150, 150, (mult, 3))
+            c[rng.random((mult, 3)) < 0.2] = 0.0
+            dark = bool(rng.random() < 0.2) or not c.any()
+            modes.append(Mode(float(lam), mult, 0.0 * c if dark else c, dark))
+        model = SpectralModel(float(rng.uniform(1e-3, 1.0)), 1.0, SymTensor3.zero(), modes)
+        for n, mode in enumerate(model.modes):
+            scale = -(model.alpha**3) * mode.lam / 4.0
+            want = SymTensor3.from_matrix(scale * mode.gram()).coeffs
+            assert mode_tensor(model, n).coeffs.tobytes() == want.tobytes()
+
+    def test_packs_the_exact_product_past_8e307(self):
+        # a residue entry past 8e307 made from_matrix halve each entry before
+        # adding, which rounded odd subnormal entries; the packed product is exact
+        mode = Mode(1.25, 2, [[6.4e153 / np.sqrt(1.25), 0.0, 0.0], [0.0, 3e-162, 5e-162]])
+        model = SpectralModel(2.0, 1e-10, SymTensor3.zero(), (mode,))
+        product = -(2.0**3) * 1.25 / 4.0 * mode.gram()
+        assert np.abs(product).max() > 8e307
+        want = [product[i, j] for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))]
+        assert mode_tensor(model, 0).coeffs.tobytes() == np.array(want).tobytes()
+
 
 class TestAssemble:
     def test_zero_frequency(self):

@@ -462,3 +462,34 @@ def test_every_array_argument_goes_through_the_one_rule():
     modules = sorted(src.glob("*.py"))
     assert modules
     assert [hit for path in modules for hit in _typed_conversions(path)] == []
+
+
+_PER_ROW = ("SymTensor3", "_complex_tensor")
+
+
+def _per_row_constructions(path: Path) -> list[str]:
+    # each SymTensor3(...) or _complex_tensor(...) called inside a
+    # comprehension, and each map over either
+    hits = []
+    comprehensions = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, comprehensions):
+            calls = [
+                n for n in ast.walk(node)
+                if isinstance(n, ast.Call) and ast.unparse(n.func) in _PER_ROW
+            ]
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "map":
+            calls = [node] if node.args and ast.unparse(node.args[0]) in _PER_ROW else []
+        else:
+            continue
+        hits += [f"{path.name}:{n.lineno} {ast.unparse(n)}" for n in calls]
+    return hits
+
+
+def test_tensors_from_an_array_are_checked_once():
+    # each SymTensor3(row) checks its row again; tensors built row by row
+    # from an array go through SymTensor3._rows, one check for the array
+    src = Path(__file__).resolve().parents[1] / "src" / "mptspec"
+    modules = sorted(src.glob("*.py"))
+    assert modules
+    assert [hit for path in modules for hit in _per_row_constructions(path)] == []

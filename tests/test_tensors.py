@@ -66,6 +66,40 @@ class TestSymTensor3:
         assert np.array_equal(SymTensor3.from_matrix(t.matrix).coeffs, t.coeffs)
 
 
+class TestRows:
+    # SymTensor3._rows: one tensor per row of a (k, 6) array, checked once
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 2, 4])
+    def test_rejects_a_non_finite_entry_in_any_row(self, rng, row, bad):
+        coeffs = rng.standard_normal((5, 6))
+        coeffs[row, row % 6] = bad
+        with pytest.raises(InvalidInputError, match="finite real numbers"):
+            SymTensor3._rows(coeffs)
+
+    @pytest.mark.parametrize("shape", [(), (6,), (0,), (2, 5), (2, 7), (0, 5), (1, 2, 6)])
+    def test_rejects_every_other_shape(self, shape):
+        with pytest.raises(InvalidInputError, match=r"expected \(k, 6\) coefficients"):
+            SymTensor3._rows(np.zeros(shape))
+
+    @pytest.mark.parametrize("k", [1, 2, 37])
+    def test_same_bytes_as_per_row_construction(self, rng, k):
+        coeffs = rng.standard_normal((k, 6)) * 10.0 ** rng.uniform(-300, 300, (k, 1))
+        coeffs[0, 3:] = [-0.0, 5e-324, -1.7e308]
+        got = SymTensor3._rows(coeffs)
+        assert [type(t) for t in got] == [SymTensor3] * k
+        want = [SymTensor3(row).coeffs.tobytes() for row in coeffs]
+        assert [t.coeffs.tobytes() for t in got] == want
+        # views of a float64 array, as SymTensor3(row) keeps them
+        assert all(np.shares_memory(t.coeffs, coeffs) for t in got)
+
+    def test_no_rows_give_no_tensors(self):
+        assert SymTensor3._rows(np.zeros((0, 6))) == []
+
+    def test_lists_and_ints_pass(self):
+        got = SymTensor3._rows([[1, 2, 3, 4, 5, 6]])
+        assert got[0].coeffs.dtype == float and got[0].coeffs.tolist() == [1, 2, 3, 4, 5, 6]
+
+
 def squares_norm(t: SymTensor3) -> float:
     # the Frobenius norm as summed squares, the formula norm() keeps where
     # no square overflows

@@ -20,6 +20,7 @@ from mptspec import (
     assemble,
     convolve_excitation,
     dipole_green_hessian,
+    from_model,
     impulse_kernel,
     limit_tensors,
     mode_tensor,
@@ -28,6 +29,7 @@ from mptspec import (
     transient_field,
 )
 
+from mptspec.spectral import _core, _decay_rates
 from conftest import random_model
 
 
@@ -306,6 +308,94 @@ class TestRecursiveConvolution:
             rtol=0,
             atol=1e-11 * output_scale(model, wave),
         )
+
+
+def _indexed_convolution(model, excitation, query_times) -> np.ndarray:
+    """The recursion as an indexed loop, step by step, (Q, 6)."""
+    t_query = np.asarray(query_times, dtype=float)
+    rates = _decay_rates(model)
+    _, residues = _core(model)
+    _, minf = limit_tensors(model)
+    times = excitation.times
+    pieces = excitation.segments_until(t_query[-1])
+    _, ends, _, piece_slopes = np.reshape(pieces, (-1, 4)).T
+    grid = np.union1d(np.append(times[0], ends), t_query[t_query > times[0]])
+    h = np.diff(grid)
+    b = piece_slopes[np.searchsorted(ends, grid[:-1], side="right")]
+    u0 = excitation(grid[:-1])
+    z = np.multiply.outer(h, rates)
+    em1 = np.expm1(z)
+    states = np.zeros((grid.size, rates.size))
+    states[1:] = u0[:, None] * em1 + b[:, None] * (em1 / rates - h[:, None])
+    decay = np.exp(z)
+    for j in range(h.size):
+        states[j + 1] += decay[j] * states[j]
+    coeffs = np.outer(excitation(t_query), minf.coeffs)
+    coeffs += states[np.searchsorted(grid, t_query)] @ residues
+    return coeffs
+
+
+class TestBitIdentical:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_modes=st.integers(1, 60),
+        n_samples=st.integers(1, 40),
+        n_queries=st.integers(1, 40),
+    )
+    def test_convolution_matches_the_indexed_loop(self, seed, n_modes, n_samples, n_queries):
+        model = random_model(seed, n_modes)
+        rng = np.random.default_rng(seed)
+        slowest = model.time_constant / model.modes[0].lam
+        times = np.cumsum(rng.uniform(0.2, 1.0, n_samples)) * slowest
+        wave = Waveform(times, rng.standard_normal(n_samples))
+        queries = np.sort(rng.uniform(-slowest, 1.5 * times[-1] + slowest, n_queries))
+        got = np.array([o.coeffs for o in convolve_excitation(model, wave, queries)])
+        assert got.tobytes() == _indexed_convolution(model, wave, queries).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_samples=st.integers(1, 30))
+    def test_segments_match_the_loop(self, seed, n_samples):
+        rng = np.random.default_rng(seed)
+        times = np.cumsum(rng.uniform(0.2, 1.0, n_samples)) * 10.0 ** rng.uniform(-6, 6)
+        wave = Waveform(times, rng.standard_normal(n_samples))
+        ends = [times[0] - 1.0, times[-1] + 1.0, *times, *rng.uniform(times[0], times[-1], 5)]
+        for t in ends:
+            want = []
+            for k in range(times.size - 1):
+                t0, t1 = times[k], times[k + 1]
+                if t0 >= t:
+                    break
+                slope = (wave.values[k + 1] - wave.values[k]) / (t1 - t0)
+                want.append((t0, min(t1, t), wave.values[k] - slope * t0, slope))
+            if t > times[-1]:
+                want.append((times[-1], t, float(wave.values[-1]), 0.0))
+            got = wave.segments_until(t)
+            assert np.array(got, ndmin=2).tobytes() == np.array(want, ndmin=2).tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_impulse_terms_are_rate_times_residue(self, seed):
+        model = random_model(seed, 20)
+        kernel = TransientKernel.impulse(model)
+        want = [(s, (s * mode_tensor(model, n)).coeffs.tobytes())
+                for n, s in enumerate(_decay_rates(model).tolist())]
+        assert [(s, b.coeffs.tobytes()) for s, b in kernel.exp_terms] == want
+
+
+def test_transient_and_pole_residue_paths_skip_from_matrix(monkeypatch):
+    # residues are packed from C^T C directly and kernels and outputs are
+    # built from arrays, so from_matrix's symmetry checks never run here
+    model = random_model(3, 12)
+    wave = Waveform(np.array([0.0, 1e-3, 2e-3]), np.array([0.0, 1.0, 0.5]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SymTensor3.from_matrix called")
+
+    monkeypatch.setattr(SymTensor3, "from_matrix", refuse)
+    TransientKernel.impulse(model)
+    TransientKernel.step(model)
+    convolve_excitation(model, wave, np.linspace(0.0, 3e-3, 7))
+    from_model(model, "auto")
 
 
 class TestTransientField:
