@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import InvalidInputError, NoFitError, NumericRangeError
+from .errors import InvalidInputError, NoFitError
 from .spectral import SpectralModel, _check_count, _check_nu, _frozen, assemble
-from .tensors import PACKED_LABELS, _number_array, _shown
+from .tensors import PACKED_LABELS, _in_range, _number_array, _shown
 
 _SCREEN_PER_DECADE = 4  # screening grid points per decade of rate
 _SCREEN_MARGIN = 3  # decades the screening grid reaches past the sampled nu
@@ -197,8 +197,7 @@ def fit_dominant(data: SweepData, kind: str) -> FitResult:
     with np.errstate(over="ignore"):
         amp_out = amp * scale
         abs_resid = np.abs(v - amp * _unit_shape(kind, nu, rate)) * scale
-    if not (np.isfinite(amp_out) and np.all(np.isfinite(abs_resid))):
-        raise NumericRangeError("fitted amplitude or residual exceeds the float range")
+    _in_range(np.r_[abs_resid, amp_out], "fitted amplitude or residual exceeds the float range")
     residual_curve = _frozen(-abs_resid if kind == "R" else abs_resid)
     return FitResult(
         kind=kind,

@@ -25,7 +25,7 @@ from numbers import Complex, Integral
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, NumericRangeError, PoleProximityError
+from .errors import DomainError, InvalidInputError, PoleProximityError
 from .spectral import (
     SpectralModel,
     _check_count,
@@ -36,7 +36,8 @@ from .spectral import (
     _time_constant,
     mode_tensor,
 )
-from .tensors import ComplexSymTensor3, SymTensor3, _number_array, _shown, is_number, unpack
+from .tensors import ComplexSymTensor3, SymTensor3, _in_range, _number_array, _shown
+from .tensors import is_number, unpack
 
 POLE_PROXIMITY_REL = 1e-12
 
@@ -195,8 +196,7 @@ def evaluate(
             sums = n0 + np.cumsum(coeff[:, None] * expansion._packed, axis=0)
         else:
             sums = n0 + coeff @ expansion._packed
-    if not np.isfinite(sums).all():
-        raise NumericRangeError("the expansion leaves the float range at this point")
+    _in_range(sums, "the expansion leaves the float range at this point")
     if not return_partial_sums:
         return _complex_tensor(sums)
     rows = zip(SymTensor3._rows(sums.real), SymTensor3._rows(sums.imag))
@@ -232,13 +232,10 @@ def contour_residue(
         raise InvalidInputError(f"rel_radius must lie in (0, 1), got {rel_radius}")
     s_n = expansion.poles_s[n]
     radius = rel_radius * abs(s_n)
-    if radius < np.finfo(float).tiny:
-        raise NumericRangeError(f"contour radius {radius:g} at pole {n} underflows")
+    _in_range(radius, "contour radius {:g} at pole {} underflows", radius, n, normal=True)
     theta = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
     offsets = radius * np.exp(1j * theta)
     with np.errstate(over="ignore", invalid="ignore"):
         coeff = _terms(expansion.poles_w, 0, -(s_n + offsets) * expansion.scale_w_per_s)
         average = offsets @ coeff @ expansion._packed / points
-    if not np.isfinite(average).all():
-        raise NumericRangeError("the contour average leaves the float range")
-    return unpack(average)
+    return unpack(_in_range(average, "the contour average leaves the float range"))

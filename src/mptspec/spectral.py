@@ -19,12 +19,14 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, NoDominantModeError, NumericRangeError
+from .errors import DomainError, InvalidInputError, NoDominantModeError
 from .tensors import (
     ComplexSymTensor3,
     Rotation3,
     SymTensor3,
     _PACK_FLAT,
+    _TINY,
+    _in_range,
     _number_array,
     _shown,
     is_number,
@@ -91,8 +93,7 @@ def _check_scale(alpha, sigma_star) -> None:
             cube, tau = float(alpha**3), float(_time_constant(alpha, sigma_star))
     except OverflowError:  # a Python float's ** raises instead
         cube = tau = math.inf
-    tiny = np.finfo(float).tiny
-    if not (tiny <= cube < math.inf and tiny <= tau < math.inf):
+    if not (_TINY <= cube < math.inf and _TINY <= tau < math.inf):
         raise InvalidInputError("alpha^3 and the time constant must be normal floats")
 
 
@@ -162,10 +163,8 @@ class SpectralModel:
         # weighs each residue by at most 1, so no residue, sum or N0 + R overflows
         with np.errstate(over="ignore"):
             peak = max((m.lam * (m.couplings**2).sum(0).max() for m in self.modes), default=0)
-            bound = self.alpha**3 / 4.0 * peak * len(self.modes)
-            bound += np.abs(self.n0.coeffs).max()
-        if not bound < math.inf:
-            raise NumericRangeError("mode residues or N0 + R exceed the float range")
+            bound = self.alpha**3 / 4.0 * peak * len(self.modes) + np.abs(self.n0.coeffs).max()
+        _in_range(bound, "mode residues or N0 + R exceed the float range")
 
     @property
     def mu0(self) -> float:
@@ -276,18 +275,14 @@ def _core(model: SpectralModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _decay_rates(model: SpectralModel) -> np.ndarray:
-    """Decay rates s_n = -lam_n / time_constant, shape (n,).
-
-    Raises NumericRangeError unless every rate is finite and below 0: an
-    eigenvalue whose quotient overflows to -inf, or underflows to -0.0, has
-    no decay rate.
-    """
+    """Decay rates s_n = -lam_n / time_constant, shape (n,), each finite and
+    below 0: a quotient that overflows to -inf, or underflows to -0.0, is no
+    decay rate and raises NumericRangeError."""
     lams, _ = _core(model)
     with np.errstate(over="ignore", under="ignore"):
         rates = -lams / model.time_constant
-    if not np.all(np.isfinite(rates) & (rates < 0.0)):
-        raise NumericRangeError("decay rates lam_n / time_constant leave the float range")
-    return rates
+    rates = np.where(rates < 0.0, rates, np.nan)  # refuse one that underflowed to -0.0
+    return _in_range(rates, "decay rates lam_n / time_constant leave the float range")
 
 
 def _contract(weights: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -312,8 +307,9 @@ def assemble(
     I(nu) = -sum_n [nu lam_n/(nu^2+lam_n^2)] A_n positive semidefinite, and
     M = N0 + R + iI.
     """
-    r_t, i_t = SymTensor3._rows(_packed_ri(model, _check_nu(nu)))
-    return r_t, i_t, ComplexSymTensor3(model.n0 + r_t, i_t)
+    ri = _packed_ri(model, _check_nu(nu))  # N0 + R is a third row, in range by the residue bound
+    r_t, i_t, m_real = SymTensor3._rows(np.concatenate((ri, (model.n0.coeffs + ri[0])[None])))
+    return r_t, i_t, ComplexSymTensor3(m_real, i_t)
 
 
 def assemble_dlog(
@@ -348,6 +344,7 @@ def dominant_mode(model: SpectralModel, i: int, j: int, nu_max: float) -> int:
     return int(np.argmax(scores))
 
 
+@np.errstate(over="ignore")  # only the last ldexp can overflow, and the rule refuses it
 def commutator_Z(
     model: SpectralModel, nu1: float, nu2: float | None = None, kind: str = "RI"
 ) -> np.ndarray:
@@ -377,11 +374,7 @@ def commutator_Z(
     ea, eb = (math.frexp(peak)[1] for peak in np.abs(rows).max(axis=1).tolist())
     a, b = unpack(rows)
     a, b = np.ldexp(a, -ea), np.ldexp(b, -eb)
-    z, shift = a @ b - b @ a, ea + eb
-    # |z| < 8, so only a shift above 1020 can carry it past the float range
-    if shift > 1020 and np.abs(z).max() >= 2.0 ** (1024 - shift):
-        raise NumericRangeError("commutator exceeds the float range")
-    return np.ldexp(z, shift)
+    return _in_range(np.ldexp(a @ b - b @ a, ea + eb), "commutator exceeds the float range")
 
 
 def modes_from_eigenvalues(

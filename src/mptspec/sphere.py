@@ -18,13 +18,12 @@ closed form too, summing to pec - static = -6 pi alpha^3 mu_r / (mu_r + 2):
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, nnls
 
-from .errors import InvalidInputError, NumericRangeError, PoleSpacingError
+from .errors import InvalidInputError, PoleSpacingError
 from .spectral import (
     Mode,
     SpectralModel,
@@ -34,7 +33,7 @@ from .spectral import (
     _check_scale,
     _time_constant,
 )
-from .tensors import SymTensor3, _shown, is_number
+from .tensors import SymTensor3, _in_range, _shown, is_number
 
 _SERIES_SWITCH = 0.2  # |v| below which the small-argument series is used
 
@@ -74,9 +73,7 @@ def _g_ratio(v: complex) -> complex:
 
     Small arguments use the Taylor series (the closed form cancels like v^3);
     elsewhere the exponentials are factored so nothing overflows however
-    large Im(v) gets.  A huge |v| overflows v^2, and the non-finite result
-    raises NumericRangeError; callers of this and of :func:`_m_of_w` hold
-    ``np.errstate`` so that no floating-point warning comes first.
+    large Im(v) gets.  Callers hold ``np.errstate``: a huge |v| overflows.
     """
     v = complex(v)
     if abs(v) <= _SERIES_SWITCH:
@@ -89,10 +86,7 @@ def _g_ratio(v: complex) -> complex:
     q = np.exp(2j * v)
     num = v * v * (q - 1.0)
     den = (q - 1.0) - 1j * v * (q + 1.0)
-    g = num / den
-    if not np.isfinite(g.real) or not np.isfinite(g.imag):
-        raise NumericRangeError(f"Bessel ratio overflowed at |v| = {abs(v):g}")
-    return g
+    return _in_range(num / den, "Bessel ratio overflowed at |v| = {:g}", abs(v))
 
 
 def _m_of_w(spec: SphereSpec, w: complex) -> complex:
@@ -114,9 +108,7 @@ def mpt_sphere(spec: SphereSpec, omega: float) -> complex:
     _check_nu(omega, "omega")
     with np.errstate(over="ignore", invalid="ignore"):
         m = _m_of_w(spec, 1j * omega * spec.time_constant)
-    if not cmath.isfinite(m):
-        raise NumericRangeError(f"sphere polarizability overflowed at omega = {omega:g}")
-    return m
+    return _in_range(m, "sphere polarizability overflowed at omega = {:g}", omega)
 
 
 def _char(v, mu_r: float):
@@ -125,12 +117,6 @@ def _char(v, mu_r: float):
     Elementwise over an array of v.
     """
     return (mu_r - 1.0) * (np.sin(v) - v * np.cos(v)) / (v * v) + np.sin(v)
-
-
-def _check_range(name: str, values: np.ndarray) -> None:
-    # extreme materials can push what the builder derives past the float range
-    if not np.all((np.abs(values) >= np.finfo(float).tiny) & (np.abs(values) < np.inf)):
-        raise NumericRangeError(f"sphere {name} leave the float range")
 
 
 def sphere_poles(spec: SphereSpec, count: int) -> np.ndarray:
@@ -178,7 +164,7 @@ def sphere_poles(spec: SphereSpec, count: int) -> np.ndarray:
         )
     with np.errstate(over="ignore"):
         lam = np.array(roots) ** 2 / spec.mu_r
-    _check_range("eigenvalues", lam)
+    _in_range(lam, "sphere eigenvalues leave the float range", normal=True)
     if np.any(np.diff(lam) <= 0.0):
         raise PoleSpacingError("pole spectrum not strictly increasing")
     return lam
@@ -214,9 +200,9 @@ def _fit_tail(
     # toward the in-band quality metric
     nu_grid = np.concatenate([nu_grid, np.geomspace(2.0 * nu_hi, 200.0 * nu_hi, 12)])
     w = 1j * nu_grid
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # the targets weight the fit
         target = np.array([_m_of_w(spec, wk) for wk in w])
-    _check_range("tail targets", target)  # they weight the fit
+        _in_range(target, "sphere tail targets leave the float range", normal=True)
     partial = n0 + (w[:, None] / (w[:, None] - lams[None, :])) @ residues
     resid = target - partial
     weight = 1.0 / np.abs(target)
@@ -294,16 +280,17 @@ def sphere_spectral_model(
     mu = spec.mu_r
     with np.errstate(over="ignore", invalid="ignore"):
         residues = -12.0 * np.pi * spec.alpha**3 * mu / (mu * lams + (mu - 1.0) * (mu + 2.0))
-    _check_range("residues", residues)
+    _in_range(residues, "sphere residues leave the float range", normal=True)
     if np.any(residues >= 0.0):
         raise PoleSpacingError("extracted a non-negative residue tensor")
     n0 = spec.static_value()
 
     tau = spec.time_constant
-    nu_band = (2.0 * np.pi * f_band[0] * tau, 2.0 * np.pi * f_band[1] * tau)
-    # the tail fit samples up to 200 times the band's top
-    if counts and not 200.0 * nu_band[1] < np.inf:
-        raise NumericRangeError(f"f_band {_shown(f_band)} exceeds the float range in units of nu")
+    with np.errstate(over="ignore"):  # a numpy alpha or sigma_star makes tau a numpy float
+        nu_band = (2.0 * np.pi * f_band[0] * tau, 2.0 * np.pi * f_band[1] * tau)
+        top = 200.0 * nu_band[1]  # the tail fit samples up to 200 times the band's top
+    if counts:
+        _in_range(top, "f_band {} exceeds the float range in units of nu", _shown(f_band))
     all_lams, all_residues = lams, residues
     if counts:
         lam_tail, res_tail, _ = _fit_tail(
@@ -315,7 +302,7 @@ def sphere_spectral_model(
     # A = a I with a = -(alpha^3 lam / 4) c^2 for three orthogonal rows c e_i
     with np.errstate(over="ignore"):
         couplings = np.sqrt(-4.0 * all_residues / (spec.alpha**3 * all_lams))
-    _check_range("couplings", couplings)
+    _in_range(couplings, "sphere couplings leave the float range", normal=True)
     modes = tuple(
         Mode(lam=lam, multiplicity=3, couplings=c * np.eye(3))
         for lam, c in zip(all_lams, couplings)

@@ -27,6 +27,7 @@ _PACK_IJ = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 PACKED_LABELS = ("11", "22", "33", "12", "13", "23")
 
 ORTHOGONALITY_TOL = 1e-12
+_TINY = np.finfo(float).tiny  # the least normal float
 
 
 def is_number(x, kind=Real) -> bool:
@@ -96,10 +97,20 @@ def unpack(coeffs) -> np.ndarray:
     return np.asarray(coeffs)[..., _UNPACK]
 
 
-def _in_range(norm: float) -> float:
-    if norm == math.inf:
-        raise NumericRangeError("tensor norm exceeds the float range")
-    return norm
+def _in_range(values, message: str, *args, normal: bool = False):
+    """The float-range rule: ``values``, unless one is not finite or, with
+    ``normal``, below the normal floats in magnitude; then NumericRangeError
+    with ``message.format(*args)``.  Callers form the values warning-free."""
+    if isinstance(values, (complex, float)):  # a scalar, without numpy's per-call cost
+        finite = cmath.isfinite(values)
+        small = normal and math.hypot(values.real, values.imag) < _TINY
+    else:  # the abs of a complex array can overflow: call this under np.errstate
+        flags = np.isfinite(values)  # counted, which is twice as fast as .all()
+        finite = np.count_nonzero(flags) == flags.size
+        small = normal and (np.abs(values) < _TINY).any()
+    if not finite or small:
+        raise NumericRangeError(message.format(*args))
+    return values
 
 
 class SymTensor3:
@@ -123,6 +134,12 @@ class SymTensor3:
         for t, row in zip(tensors, c):
             t.coeffs = row  # a view of c, as SymTensor3(row) keeps; finite, as c is
         return tensors
+
+    @np.errstate(over="ignore")  # as a decorator it costs half a with block
+    def _result(self, op, *other) -> "SymTensor3":
+        t = SymTensor3.__new__(SymTensor3)
+        t.coeffs = _in_range(op(self.coeffs, *other), "tensor arithmetic exceeds the float range")
+        return t
 
     @classmethod
     def zero(cls) -> "SymTensor3":
@@ -164,7 +181,9 @@ class SymTensor3:
         return float(self.coeffs[packed_index(*ij)])
 
     def trace(self) -> float:
-        return float(self.coeffs[:3].sum())
+        # Python floats overflow without a warning; numpy's sum also starts at +0.0
+        d1, d2, d3 = self.coeffs[:3].tolist()
+        return _in_range(0.0 + d1 + d2 + d3, "tensor trace exceeds the float range")
 
     def norm(self) -> float:
         """Frobenius norm.
@@ -179,19 +198,22 @@ class SymTensor3:
         if squares < math.inf:
             return math.sqrt(squares)
         scale = float(np.abs(self.coeffs).max())
-        return _in_range(scale * SymTensor3(self.coeffs / scale).norm())
+        norm = scale * SymTensor3(self.coeffs / scale).norm()
+        return _in_range(norm, "tensor norm exceeds the float range")
 
     def __add__(self, other: "SymTensor3") -> "SymTensor3":
-        return SymTensor3(self.coeffs + other.coeffs)
+        return self._result(np.add, other.coeffs)
 
     def __sub__(self, other: "SymTensor3") -> "SymTensor3":
-        return SymTensor3(self.coeffs - other.coeffs)
+        return self._result(np.subtract, other.coeffs)
 
     def __neg__(self) -> "SymTensor3":
-        return SymTensor3(-self.coeffs)
+        return self._result(np.negative)
 
     def __mul__(self, scalar: float) -> "SymTensor3":
-        return SymTensor3(self.coeffs * float(scalar))
+        if not is_number(scalar):
+            raise InvalidInputError(f"scale factor must be finite and real, got {_shown(scalar)}")
+        return self._result(np.multiply, float(scalar))
 
     __rmul__ = __mul__
 
@@ -236,7 +258,8 @@ class ComplexSymTensor3:
     def norm(self) -> float:
         """Frobenius norm; beyond the float range raises NumericRangeError."""
         with np.errstate(over="ignore"):
-            return _in_range(float(np.hypot(self.real.norm(), self.imag.norm())))
+            norm = float(np.hypot(self.real.norm(), self.imag.norm()))
+        return _in_range(norm, "tensor norm exceeds the float range")
 
     def conj(self) -> "ComplexSymTensor3":
         return ComplexSymTensor3(self.real, -self.imag)
@@ -296,13 +319,14 @@ def eigen_sym3(t: SymTensor3) -> tuple[np.ndarray, Rotation3]:
     eigenspace; callers should compare subspace projectors, not vectors.
     """
     w, v = np.linalg.eigh(t.matrix)
-    return w, Rotation3(v)
+    return _in_range(w, "eigenvalues exceed the float range"), Rotation3(v)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rotate_tensor(t: SymTensor3, q: Rotation3) -> SymTensor3:
     """Transform coefficients under a rotation: result_ij = Q_ip Q_jq T_pq."""
-    qm = q.matrix
-    return SymTensor3.from_matrix(qm @ t.matrix @ qm.T, asym_tol=1e-9)
+    m = _in_range(q.matrix @ t.matrix @ q.matrix.T, "rotated tensor exceeds the float range")
+    return SymTensor3.from_matrix(m, asym_tol=1e-9)
 
 
 def dipole_green_hessian(x, z) -> SymTensor3:
@@ -346,9 +370,7 @@ def perturbed_field(x, z, m: SymTensor3 | ComplexSymTensor3, h0_at_z) -> np.ndar
     d2g = dipole_green_hessian(x, z).matrix
     with np.errstate(over="ignore", invalid="ignore"):
         field = d2g @ (m.matrix @ h0)
-    if not np.all(np.isfinite(field)):
-        raise NumericRangeError("perturbed field exceeds the float range")
-    return field
+    return _in_range(field, "perturbed field exceeds the float range")
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidInputError, NumericRangeError
+from .errors import DomainError, InvalidInputError
 from .spectral import SpectralModel, _core, _decay_rates, _frozen, limit_tensors, mode_tensor
-from .tensors import SymTensor3, _number_array, _shown, is_number, perturbed_field
+from .tensors import SymTensor3, _in_range, _number_array, _shown, is_number, perturbed_field
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,8 @@ class TransientKernel:
         # lies within a factor 3 of the value at t = 0 (the A_n are semidefinite)
         with np.errstate(over="ignore"):
             bound = -rates @ np.abs(_core(model)[1]).max(axis=1, initial=0.0)
-        if not bound < np.inf:
-            raise NumericRangeError(
-                "impulse kernel at t = 0 (the sum of the terms s_n A_n) exceeds the float range"
-            )
+        _in_range(bound, "impulse kernel at t = 0 (the sum of the terms s_n A_n) exceeds "
+                  "the float range")
         a = np.reshape([mode_tensor(model, n).coeffs for n in range(rates.size)], (-1, 6))
         terms = tuple(zip(rates.tolist(), SymTensor3._rows(rates[:, None] * a)))
         return cls(
@@ -95,11 +93,11 @@ class TransientKernel:
         # the rates are negative, so s t overflows only towards -inf, where
         # exp gives the exact limit 0; negative times are zeroed below
         t_pos = np.where(t < 0.0, 0.0, t)[:, None]
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             for s_n, b_n in self.exp_terms:
                 acc = acc + np.exp(s_n * t_pos) * b_n.coeffs
         acc[t < 0.0] = 0.0
-        return acc
+        return _in_range(acc, "transient kernel exceeds the float range")
 
     def smooth_at(self, t: float) -> SymTensor3:
         """Regular (non-distributional) part of the kernel at time t."""
@@ -167,14 +165,17 @@ class Waveform:
         # the pieces that start before t, all at once
         m = min(int(np.searchsorted(times, t)), times.size - 1)
         t0, t1 = times[:m], times[1 : m + 1]
-        slope = np.diff(values[: m + 1]) / (t1 - t0)
-        columns = (t0, np.minimum(t1, t), values[:m] - slope * t0, slope)
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope = np.diff(values[: m + 1]) / (t1 - t0)
+            columns = (t0, np.minimum(t1, t), values[:m] - slope * t0, slope)
+        _in_range(columns[2:], "waveform slopes or intercepts leave the float range")
         pieces = list(zip(*(c.tolist() for c in columns)))
         if t > times[-1]:
             pieces.append((times[-1], t, float(values[-1]), 0.0))
         return pieces
 
 
+@np.errstate(over="ignore", invalid="ignore")  # large pieces can overflow
 def convolve_excitation(
     model: SpectralModel, excitation: Waveform, query_times
 ) -> list[SymTensor3]:
@@ -226,7 +227,7 @@ def convolve_excitation(
     # queries at or before the first sample map to grid[0], where x = 0
     coeffs = np.outer(excitation(t_query), minf.coeffs)
     coeffs += states[np.searchsorted(grid, t_query)] @ residues
-    return SymTensor3._rows(coeffs)
+    return SymTensor3._rows(_in_range(coeffs, "convolution exceeds the float range"))
 
 
 def transient_field(

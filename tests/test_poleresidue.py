@@ -537,6 +537,17 @@ class TestFloatRange:
         with pytest.raises(NumericRangeError, match="contour radius .* at pole 0 underflows"):
             contour_residue(expansion, 0, rel_radius=rel_radius)
 
+    @pytest.mark.filterwarnings("error")
+    def test_residue_at_pole_past_the_float_range(self):
+        # s_n A_n = 1e310 warned, then raised InvalidInputError
+        expansion = PoleResidueExpansion(
+            n0=SymTensor3.zero(), poles_s=np.array([-1e300]),
+            residues=(SymTensor3.isotropic(-1e10),), nv=np.array([0]), alpha=1.0,
+            sigma_star=1.0,
+        )
+        with pytest.raises(NumericRangeError, match="tensor arithmetic exceeds"):
+            residue_at_pole(expansion, 0)
+
 
 class TestContourOnAutoExpansions:
     @pytest.mark.parametrize("n_modes", [30, 85])

@@ -1,6 +1,7 @@
 """Spectral model assembly, derivatives, limits and commutators."""
 
 import copy
+import math
 import warnings
 from dataclasses import replace
 
@@ -45,7 +46,8 @@ from mptspec import (
     sphere_spectral_model,
 )
 from mptspec.modelio import document_to_model, model_to_document
-from mptspec.spectral import is_number
+from mptspec.spectral import _packed_ri, is_number
+from mptspec.tensors import unpack
 from conftest import random_model
 
 nus = st.floats(1e-8, 1e8, allow_nan=False)
@@ -453,6 +455,50 @@ class TestCommutatorRange:
         nu = float(model.nu_from_omega(2.0 * np.pi * 1e-295))
         with pytest.raises(NumericRangeError, match="commutator exceeds"):
             commutator_Z(model, nu)
+
+
+def commutator_by_shift_test(model, nu1, nu2=None, kind="RI"):
+    # commutator_Z as it was when it refused a shift above 1020 that carried
+    # |z| past 2^1024 itself, before its result went through the range rule
+    if kind == "RI":
+        rows = _packed_ri(model, nu1)
+    else:
+        pick = 0 if kind == "RR" else 1
+        rows = np.stack((_packed_ri(model, nu1)[pick], _packed_ri(model, nu2)[pick]))
+    ea, eb = (math.frexp(peak)[1] for peak in np.abs(rows).max(axis=1).tolist())
+    a, b = unpack(rows)
+    a, b = np.ldexp(a, -ea), np.ldexp(b, -eb)
+    z, shift = a @ b - b @ a, ea + eb
+    if shift > 1020 and np.abs(z).max() >= 2.0 ** (1024 - shift):
+        raise NumericRangeError("commutator exceeds the float range")
+    return np.ldexp(z, shift)
+
+
+class TestCommutatorRangeRule:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_byte_identical_to_the_shift_test(self, seed):
+        model = random_model(seed, n_modes=1 + seed)
+        grid = np.geomspace(1e-4, 1e4, 25)
+        for nu1, nu2 in zip(grid, grid[::-1]):
+            for kind in ("RI", "RR", "II"):
+                want = commutator_by_shift_test(model, nu1, nu2, kind)
+                assert commutator_Z(model, nu1, nu2, kind=kind).tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_byte_identical_at_the_range_edge(self):
+        # residues near 1e300: the commutator passes 2^1024 between these nu
+        model = random_model(4, n_modes=3, alpha=1e100)
+        refused = []
+        for nu in np.geomspace(1e-98, 1e-97, 400):
+            try:
+                want = commutator_by_shift_test(model, nu)
+            except NumericRangeError:
+                with pytest.raises(NumericRangeError, match="commutator exceeds"):
+                    commutator_Z(model, nu)
+                refused.append(nu)
+            else:
+                assert commutator_Z(model, nu).tobytes() == want.tobytes()
+        assert 0 < len(refused) < 400
 
 
 def _rate_edge_models() -> dict:

@@ -400,6 +400,14 @@ class TestSphereInputChecks:
         with pytest.raises(InvalidInputError, match="normal floats"):
             SphereSpec(alpha, mu_r, sigma_star)
 
+    @pytest.mark.filterwarnings("error")
+    def test_numpy_scale_band_past_the_float_range(self):
+        # a numpy sigma_star makes the time constant a numpy float, whose
+        # products warned before the band was refused
+        spec = SphereSpec(np.float64(1e4), 0.01, np.float64(1e300))
+        with pytest.raises(NumericRangeError, match="f_band .* exceeds the float range"):
+            sphere_spectral_model(spec, 3)
+
     def test_omega_overflowing(self):
         with pytest.raises(NumericRangeError, match="overflowed"):
             mpt_sphere(SphereSpec(1e4, 0.01, 1e300), 1e10)

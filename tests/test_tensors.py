@@ -1,5 +1,7 @@
 """Tensor algebra, the Jacobi eigensolver and the dipole field formula."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from mptspec import (
     perturbed_field,
     rotate_tensor,
 )
+from mptspec.tensors import _shown
 
 finite_coeff = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 sym_tensors = st.builds(
@@ -350,3 +353,68 @@ class TestOffdiagBounds:
         rep = offdiag_bound_report(SymTensor3.diag(-1, -1, -1), bad)
         assert rep.pass_r and not rep.pass_i
         assert rep.margin_i < 0.0
+
+
+BIG = SymTensor3([1e308] * 3 + [0.0] * 3)
+HUGE = SymTensor3([1.7e308, -1.7e308, 1e308, 1.7e308, 1.7e308, 1.7e308])
+
+
+class TestOverflowingOperations:
+    # each of these warned and then raised InvalidInputError, or returned inf
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("op", [
+        lambda: BIG + BIG,
+        lambda: BIG - (-BIG),
+        lambda: BIG * 10.0,
+        lambda: ComplexSymTensor3(BIG, BIG) + ComplexSymTensor3(BIG, BIG),
+    ], ids=["sum", "difference", "scale", "complex-sum"])
+    def test_arithmetic(self, op):
+        with pytest.raises(NumericRangeError, match="tensor arithmetic exceeds the float range"):
+            op()
+
+    @pytest.mark.filterwarnings("error")
+    def test_rotation(self):
+        with pytest.raises(NumericRangeError, match="rotated tensor exceeds the float range"):
+            rotate_tensor(HUGE, Rotation3.about_axis(2, 0.7))
+
+    @pytest.mark.filterwarnings("error")
+    def test_eigenvalues(self):
+        # eigh returned [-inf, -3.66e307, inf]
+        with pytest.raises(NumericRangeError, match="eigenvalues exceed the float range"):
+            eigen_sym3(HUGE)
+
+    @pytest.mark.filterwarnings("error")
+    def test_trace_and_the_bounds_that_read_it(self):
+        t = SymTensor3([1.7e308] * 3 + [1.0] * 3)
+        with pytest.raises(NumericRangeError, match="tensor trace exceeds the float range"):
+            t.trace()
+        # passed, with infinite margins
+        with pytest.raises(NumericRangeError, match="tensor trace exceeds the float range"):
+            offdiag_bound_report(t, t)
+
+    @pytest.mark.parametrize("scalar", ["2", None, 10**400, True, np.nan],
+                             ids=["string", "none", "giant-int", "bool", "nan"])
+    def test_scale_factor_is_a_finite_real_number(self, scalar):
+        # a string was coerced, None and a giant int raised bare builtin errors
+        with pytest.raises(InvalidInputError, match=re.escape(f"got {_shown(scalar)}")):
+            SymTensor3.identity() * scalar
+        with pytest.raises(InvalidInputError, match="scale factor"):
+            scalar * SymTensor3.identity()
+
+    @given(a=sym_tensors, b=sym_tensors, k=finite_coeff)
+    @settings(max_examples=50, deadline=None)
+    def test_in_range_results_are_the_numpy_operations(self, a, b, k):
+        assert (a + b).coeffs.tobytes() == (a.coeffs + b.coeffs).tobytes()
+        assert (a - b).coeffs.tobytes() == (a.coeffs - b.coeffs).tobytes()
+        assert (-a).coeffs.tobytes() == (-a.coeffs).tobytes()
+        assert (a * k).coeffs.tobytes() == (k * a).coeffs.tobytes() == (a.coeffs * k).tobytes()
+
+    @pytest.mark.parametrize("diagonal", [
+        [-0.0, -0.0, -0.0], [-0.0, 0.0, -0.0], [1e308, -1e308, 1e308], [0.1, 0.2, 0.3],
+        [1.0, 1e-17, -1.0], [5e-324, -0.0, -5e-324],
+    ])
+    def test_trace_is_numpy_sum(self, diagonal):
+        t = SymTensor3(diagonal + [1.0, 2.0, 3.0])
+        want = float(np.array(diagonal).sum())
+        assert type(t.trace()) is float
+        assert np.array(t.trace()).tobytes() == np.array(want).tobytes()

@@ -561,6 +561,45 @@ class TestImpulseRange:
             TransientKernel.impulse(model)
 
 
+STEEP_WAVE = Waveform([0.0, 1e-300, 1.0], [0.0, 1e10, 0.0])
+
+
+class TestTransientRange:
+    # each of these warned first; the pieces came back as (0.0, 1e-300, nan,
+    # inf), the convolutions raised InvalidInputError and sample returned inf
+    @pytest.mark.filterwarnings("error")
+    def test_steep_waveform_pieces(self):
+        with pytest.raises(NumericRangeError, match="waveform slopes or intercepts"):
+            STEEP_WAVE.segments_until(0.5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("wave", [STEEP_WAVE, Waveform([0.0, 1.0], [1e308, -1e308])],
+                             ids=["steep", "full-range-swing"])
+    def test_convolution_of_an_overflowing_waveform(self, wave):
+        with pytest.raises(NumericRangeError, match="waveform slopes or intercepts"):
+            convolve_excitation(random_model(1, n_modes=3), wave, [0.5, 2.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_convolution_output_past_the_float_range(self):
+        # finite pieces; the delta part 9.75 times u = 1e308 overflows
+        modes = (Mode(1.0, 1, np.array([[1.0, 0.5, 0.0]])),)
+        model = SpectralModel(alpha=1.0, sigma_star=1.0, n0=SymTensor3.isotropic(10.0),
+                              modes=modes)
+        with pytest.raises(NumericRangeError, match="convolution exceeds the float range"):
+            convolve_excitation(model, Waveform([0.0], [1e308]), [1.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_kernel_past_the_float_range(self):
+        big = SymTensor3.isotropic(1e308)
+        kernel = TransientKernel(big, SymTensor3.zero(), ((-1.0, big),))
+        with pytest.raises(NumericRangeError, match="transient kernel exceeds the float range"):
+            kernel.sample([0.0, 1.0])
+        with pytest.raises(NumericRangeError, match="transient kernel exceeds the float range"):
+            kernel.smooth_at(0.0)
+        # negative times are zero, whatever the terms
+        assert np.array_equal(kernel.sample([-1.0]), np.zeros((1, 6)))
+
+
 class TestWaveformSemantics:
     def test_zero_before_first_sample_held_after_last(self):
         wave = Waveform(np.array([1.0, 2.0, 3.0]), np.array([0.5, 1.5, -1.0]))
