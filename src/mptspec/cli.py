@@ -232,7 +232,7 @@ def _cmd_commutator(args) -> int:
             raise _UsageError(f"kind {args.kind} requires --f2")
         nu2 = float(model.nu_from_omega(2.0 * np.pi * args.f2))
     header = ["nu", "omega_rad_s", "f_Hz", "absZ12", "absZ13", "absZ23"]
-    z = np.array([commutator_Z(model, float(nu_k), nu2, kind=args.kind) for nu_k in nu])
+    z = commutator_Z(model, nu, nu2, kind=args.kind)
     table = np.column_stack((nu, omega, freq, np.abs(z[:, [0, 0, 1], [1, 2, 2]])))
     modelio.write_text(args.out, modelio.csv_text(header, table.tolist()))
     print(f"wrote {len(nu)} commutator rows to {args.out}")

@@ -291,9 +291,13 @@ def _contract(weights: np.ndarray, a: np.ndarray) -> np.ndarray:
     return 0.0 - weights @ a
 
 
-def _packed_ri(model: SpectralModel, nu: float) -> np.ndarray:
-    """Packed R and I at nu, shape (2, 6): one contraction of the core."""
+def _packed_ri(model: SpectralModel, nu) -> np.ndarray:
+    """Packed R and I at nu, shape (2, 6), or at each nu of a 1-D array,
+    shape (2, points, 6), with the bits of the one-nu contraction."""
     lams, a = _core(model)
+    if getattr(nu, "ndim", 0):  # one (2, n) @ (n, 6) product per point
+        re, im, _ = _beta_parts(nu[:, None], lams)
+        return _contract(np.stack((re, im), axis=1), a).swapaxes(0, 1)
     re, im, _ = _beta_parts(nu, lams)
     return _contract(np.stack((re, im)), a)
 
@@ -346,7 +350,7 @@ def dominant_mode(model: SpectralModel, i: int, j: int, nu_max: float) -> int:
 
 @np.errstate(over="ignore")  # only the last ldexp can overflow, and the rule refuses it
 def commutator_Z(
-    model: SpectralModel, nu1: float, nu2: float | None = None, kind: str = "RI"
+    model: SpectralModel, nu1, nu2=None, kind: str = "RI"
 ) -> np.ndarray:
     """Commutator matrix diagnosing shared eigenvectors of R and I.
 
@@ -355,23 +359,38 @@ def commutator_Z(
     Diagonal entries vanish identically; single-mode models give zero.
     R and I come from the same contraction of the cached core that
     :func:`assemble` makes, as dense 3x3 matrices, with no tensor objects.
-    Only a commutator beyond the float range raises NumericRangeError.
+    A 1-D array nu1, with nu2 one frequency or an array of its shape, gives
+    (points, 3, 3), each matrix the bits of its one-point call.  Only a
+    commutator beyond the float range raises NumericRangeError.
     """
-    _check_nu(nu1, "nu1", positive=True)
-    if nu2 is not None:
-        _check_nu(nu2, "nu2", positive=True)
+    grid = any(isinstance(x, (list, tuple)) or getattr(x, "ndim", 0) for x in (nu1, nu2))
+    if grid:
+        named = (("nu1", nu1), ("nu2", nu2))
+        nu1, nu2 = (x if x is None else _number_array(n, x) for n, x in named)
+        for n, x in zip(("nu1", "nu2"), (nu1, nu2)):
+            if x is not None and (x <= 0.0).any():
+                bad = _shown(float(x[x <= 0.0][0]))
+                raise DomainError(f"{n} must be finite and positive, got {bad}")
+        if nu1.ndim != 1 or np.shape(nu2) not in ((), nu1.shape):
+            raise InvalidInputError(f"need a 1-D nu1 and nu2 of its shape or one nu2, "
+                                    f"got {nu1.shape}, {np.shape(nu2)}")
+    else:
+        _check_nu(nu1, "nu1", positive=True)
+        if nu2 is not None:
+            _check_nu(nu2, "nu2", positive=True)
     if kind == "RI":
         rows = _packed_ri(model, nu1)
     elif kind in ("RR", "II"):
         if nu2 is None:
             raise DomainError(f"kind {kind} requires a positive nu2")
         pick = 0 if kind == "RR" else 1
+        nu2 = np.broadcast_to(nu2, nu1.shape) if grid else nu2
         rows = np.stack((_packed_ri(model, nu1)[pick], _packed_ri(model, nu2)[pick]))
     else:
         raise InvalidInputError(f"unknown commutator kind {_shown(kind)}")
-    # a power of two scales each factor to a largest entry below 1, exactly,
-    # so the products cannot overflow and in-range results do not move
-    ea, eb = (math.frexp(peak)[1] for peak in np.abs(rows).max(axis=1).tolist())
+    # a power of two per point scales each factor to a largest entry below 1,
+    # exactly, so the products cannot overflow and in-range results do not move
+    ea, eb = np.frexp(np.abs(rows).max(axis=-1))[1][..., None, None]
     a, b = unpack(rows)
     a, b = np.ldexp(a, -ea), np.ldexp(b, -eb)
     return _in_range(np.ldexp(a @ b - b @ a, ea + eb), "commutator exceeds the float range")

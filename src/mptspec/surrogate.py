@@ -25,6 +25,7 @@ from .spectral import (
     _check_positive,
     _check_scale,
     _frozen,
+    _packed_ri,
     assemble,
     assemble_dlog,
     commutator_Z,
@@ -33,13 +34,17 @@ from .spectral import (
     rotate_model,
 )
 from .tensors import (
+    _PACK_FLAT,
     Rotation3,
     SymTensor3,
+    _in_range,
+    _norms,
     _number_array,
+    _rotated,
     _shown,
+    _symmetric_packed,
     eigen_sym3,
     offdiag_bound_report,
-    rotate_tensor,
 )
 
 SPECTRUM_SHAPES = ("linear", "quadratic", "clustered")
@@ -174,22 +179,32 @@ def energy_tensors_direct(
     one.  Both are symmetric by the symmetry of K.
     """
     _check_nu(nu, positive=True)  # the 1/nu weight
-    return _energy_direct(problem, nu, direct_theta1(problem, nu))
+    theta1 = direct_theta1(problem, nu)[None]
+    return tuple(SymTensor3._rows(_energy_direct(problem, np.array([float(nu)]), theta1)[:, 0]))
 
 
-def _energy_direct(problem: SurrogateProblem, nu: float, theta1: np.ndarray):
+def _packed(r: np.ndarray, i: np.ndarray) -> np.ndarray:
+    # packed (2, points, 6) R and I of stacked 3x3 blocks: 0.5 (m + m^T) is
+    # exactly symmetric, so it is packed as it is, checked as from_matrix checks
+    ri = np.stack((r, i))
+    sym = 0.5 * (ri + ri.swapaxes(-1, -2))
+    return _number_array("tensor coefficients", sym.reshape(2, -1, 9)[..., _PACK_FLAT])
+
+
+def _energy_direct(problem: SurrogateProblem, nus: np.ndarray, theta1: np.ndarray):
+    # (R, I) at each of nus from theta1 stacked (points, dim, 3)
     kt = problem.k_matrix @ theta1
     scale = problem.alpha**3 / 4.0
-    r = -scale * np.real(theta1.conj().T @ kt)
-    ohmic = np.real(kt.conj().T @ kt)
+    r = -scale * np.real(theta1.conj().swapaxes(1, 2) @ kt)
+    ohmic = np.real(kt.conj().swapaxes(1, 2) @ kt)
     # where the weight alpha^3 / (4 nu) overflows, inf * 0 would give NaN;
     # kt is of order nu there, so dividing by nu first stays finite
-    weight = scale / float(nu)
-    i = weight * ohmic if weight < np.inf else scale * (ohmic / nu)
-    return (
-        SymTensor3.from_matrix(0.5 * (r + r.T), asym_tol=1e-9),
-        SymTensor3.from_matrix(0.5 * (i + i.T), asym_tol=1e-9),
-    )
+    with np.errstate(over="ignore"):
+        weight = scale / nus
+    big = weight == np.inf
+    i = np.where(big, 1.0, weight)[:, None, None] * ohmic
+    i[big] = scale * (ohmic[big] / nus[big, None, None])
+    return _packed(r, i)
 
 
 def energy_tensors_alt(
@@ -203,19 +218,16 @@ def energy_tensors_alt(
     identities.
     """
     _check_nu(nu, positive=True)
-    return _energy_alt(problem, nu, direct_theta1(problem, nu))
+    theta1 = direct_theta1(problem, nu)[None]
+    return tuple(SymTensor3._rows(_energy_alt(problem, np.array([float(nu)]), theta1)[:, 0]))
 
 
-def _energy_alt(problem: SurrogateProblem, nu: float, theta1: np.ndarray):
+def _energy_alt(problem: SurrogateProblem, nus: np.ndarray, theta1: np.ndarray):
     scale = problem.alpha**3 / 4.0
-    r = -scale * nu * (theta1.imag.T @ problem.theta0)
-    i = scale * nu * (
-        theta1.real.T @ problem.theta0 + problem.theta0.T @ problem.theta0
-    )
-    return (
-        SymTensor3.from_matrix(0.5 * (r + r.T), asym_tol=1e-6),
-        SymTensor3.from_matrix(0.5 * (i + i.T), asym_tol=1e-6),
-    )
+    t0 = problem.theta0
+    r = (-scale * nus)[:, None, None] * (theta1.imag.swapaxes(1, 2) @ t0)
+    i = (scale * nus)[:, None, None] * (theta1.real.swapaxes(1, 2) @ t0 + t0.T @ t0)
+    return _packed(r, i)
 
 
 @dataclass(frozen=True)
@@ -291,6 +303,7 @@ def _rel(diff: float, scale: float) -> float:
     return diff / max(scale, 1e-300)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # past the float range, the range rule refuses
 def verify_identities(
     problem: SurrogateProblem,
     nu_grid=None,
@@ -307,6 +320,10 @@ def verify_identities(
     ``corrupt_coupling`` perturbs one model coupling by 1e-3 after
     extraction, which must break the model-vs-direct identities while the
     direct-solve-only ones stay green (fault localisation).
+
+    The direct solve, the series check, the eigenvalues and the off-diagonal
+    bounds run per point; the rest (R and I, energy forms, norms, rotations,
+    commutators) is formed on the whole grid, with the per-point bits.
     """
     _check_positive("tol", tol)
     if nu_grid is None:
@@ -329,18 +346,18 @@ def verify_identities(
     model_rot = rotate_model(model, q)
 
     # derived commutator bound constants (Cauchy-Schwarz through the
-    # alternative forms): T0^2 = sum of squared couplings, E1 weighted by lam
-    t0_sq = sum(float((m.couplings**2).sum()) for m in model.modes)
-    e1 = np.sqrt(sum(float(m.lam**2 * (m.couplings**2).sum()) for m in model.modes))
-    r_bar = 0.25 * a3 * e1 * np.sqrt(t0_sq)
-    i_bar = 0.5 * a3 * t0_sq
-    c_ri = 6.0 * r_bar * i_bar
-    c_rr = 6.0 * r_bar**2
-    c_ii = 6.0 * i_bar**2
+    # alternative forms): T0^2 = sum of squared couplings, E1 weighted by
+    # lam; numpy scalars, so that past the float range they become inf or 0
+    t0_sq = sum((m.couplings**2).sum() for m in model.modes)
+    e1 = np.sqrt(sum(np.float64(m.lam)**2 * (m.couplings**2).sum() for m in model.modes))
+    r_bar, i_bar = 0.25 * a3 * e1 * np.sqrt(t0_sq), 0.5 * a3 * t0_sq
+    bounds = np.array([6.0 * r_bar * i_bar, 6.0 * r_bar**2, 6.0 * i_bar**2])  # RI, RR, II
+    single_mode = len(model.modes) == 1
+    if not single_mode:  # the growth bound divides by them
+        _in_range(bounds, "commutator bound constants leave the normal floats", normal=True)
 
     # the worst relative violation of each check over the grid, in report
-    # order; every update is a running max
-    single_mode = len(model.modes) == 1
+    # order
     comm_zero = "commutator_single_mode_zero" if single_mode else "commutator_diagonal_zero"
     worst = dict.fromkeys(
         ("series_vs_direct_solve", "assemble_vs_energy_direct", "energy_alternative_forms",
@@ -350,72 +367,68 @@ def verify_identities(
         0.0,
     )
 
-    def record(name: str, *violations) -> None:
-        worst[name] = max(worst[name], *violations)
+    def record(name: str, *columns) -> None:
+        # a running max over each point's values (one per column), in grid order
+        worst[name] = max([worst[name], *np.column_stack(columns).ravel().tolist()])
 
-    for idx, nu in enumerate(nus):
-        theta1 = direct_theta1(problem, nu)
+    # one LU solve per nu feeds the series check and both energy forms
+    theta1, series = [], []
+    for nu in nus:
+        theta1.append(direct_theta1(problem, nu))
         beta_diag = -1j * nu / (1j * nu - lam_raw)
         theta1_series = phi @ (beta_diag[:, None] * proj)
-        record(
-            "series_vs_direct_solve",
-            _rel(np.linalg.norm(theta1 - theta1_series), np.linalg.norm(theta1)),
-        )
+        series.append(
+            _rel(np.linalg.norm(theta1[-1] - theta1_series), np.linalg.norm(theta1[-1])))
+    record("series_vs_direct_solve", np.array(series))
+    theta1 = np.array(theta1, dtype=complex).reshape(-1, problem.dim, 3)
 
-        # one LU solve per nu feeds the series check and both energy forms
-        r_direct, i_direct = _energy_direct(problem, nu, theta1)
-        r_alt, i_alt = _energy_alt(problem, nu, theta1)
-        r_mod, i_mod, _ = assemble(model, nu)
-        scale = max(r_direct.norm() + i_direct.norm(), 1e-300)
-        record(
-            "assemble_vs_energy_direct",
-            ((r_mod - r_direct).norm() + (i_mod - i_direct).norm()) / scale,
-        )
-        record(
-            "energy_alternative_forms",
-            ((r_alt - r_direct).norm() + (i_alt - i_direct).norm()) / scale,
-        )
+    def norms(blocks):  # of packed (2, points, 6) R and I
+        return _in_range(_norms(blocks), "tensor norm exceeds the float range")
 
-        eig_r, _ = eigen_sym3(r_mod)
-        eig_i, _ = eigen_sym3(i_mod)
-        record(
-            "definiteness_R_I",
-            _rel(max(eig_r.max(), 0.0), r_mod.norm()),
-            _rel(max(-eig_i.min(), 0.0), i_mod.norm()),
-        )
+    def diff(a, b):  # |a_R - b_R| + |a_I - b_I| at each point
+        d = norms(_in_range(a - b, "tensor arithmetic exceeds the float range"))
+        return d[0] + d[1]
 
+    direct = _energy_direct(problem, nus, theta1)
+    mod, rot = _packed_ri(model, nus), _packed_ri(model_rot, nus)
+    n_direct, n_mod = norms(direct), norms(mod)
+    scale = np.maximum(n_direct[0] + n_direct[1], 1e-300)
+    record("assemble_vs_energy_direct", diff(mod, direct) / scale)
+    record("energy_alternative_forms", diff(_energy_alt(problem, nus, theta1), direct) / scale)
+    rotated = _in_range(_rotated(mod, q), "rotated tensor exceeds the float range")
+    rotation = diff(rot, _symmetric_packed(rotated, 1e-9)) / scale
+
+    per_nu = []  # the eigenvalues and off-diagonal bounds
+    for r_mod, i_mod, r_rot, nr, ni in zip(
+        *map(SymTensor3._rows, (mod[0], mod[1], rot[0])), *n_mod.tolist()
+    ):
+        (eig_r, _), (eig_i, _), (er_rot, _) = map(eigen_sym3, (r_mod, i_mod, r_rot))
         rep = offdiag_bound_report(r_mod, i_mod)
-        record(
-            "offdiagonal_bounds",
+        per_nu.append((
+            _rel(max(eig_r.max(), 0.0), nr),
+            _rel(max(-eig_i.min(), 0.0), ni),
             _rel(max(-rep.margin_r, 0.0), abs(r_mod.trace())),
             _rel(max(-rep.margin_i, 0.0), i_mod.trace()),
-        )
+            _rel(np.abs(er_rot - eig_r).max(), nr),
+        ))
+    per_nu = np.array(per_nu).reshape(-1, 5).T
+    record("definiteness_R_I", *per_nu[:2])
+    record("offdiagonal_bounds", *per_nu[2:4])
+    record("rotation_equivariance", rotation, per_nu[4])
 
-        r_rot, i_rot, _ = assemble(model_rot, nu)
-        record(
-            "rotation_equivariance",
-            ((r_rot - rotate_tensor(r_mod, q)).norm()
-             + (i_rot - rotate_tensor(i_mod, q)).norm()) / scale,
-        )
-        er_rot, _ = eigen_sym3(r_rot)
-        record("rotation_equivariance", _rel(np.abs(er_rot - eig_r).max(), r_mod.norm()))
-
-        nu2 = nus[(idx + 7) % nus.size]
-        z_ri = commutator_Z(model, nu, kind="RI")
-        z_rr = commutator_Z(model, nu, nu2, kind="RR")
-        z_ii = commutator_Z(model, nu, nu2, kind="II")
-        zscale = max(r_mod.norm() * i_mod.norm(), 1e-300)
-        if single_mode:
-            record(comm_zero, *(np.abs(z).max() / zscale for z in (z_ri, z_rr, z_ii)))
-        else:
-            record(
-                "commutator_growth_bound",
-                max(np.abs(z_ri).max() / nu - c_ri, 0.0) / c_ri,
-                max(np.abs(z_rr).max() - c_rr, 0.0) / c_rr,
-                max(np.abs(z_ii).max() / (nu * nu2) - c_ii, 0.0) / c_ii,
-            )
-        # diagonal commutator entries vanish for any object
-        record(comm_zero, np.abs(np.diag(z_ri)).max() / zscale)
+    nus2 = np.roll(nus, -7)  # the point 7 further on, cyclically
+    z = [commutator_Z(model, nus, nus2, kind=kind) for kind in ("RI", "RR", "II")]
+    peaks = [np.abs(zk).max(axis=(1, 2)) for zk in z]
+    zscale = np.maximum(n_mod[0] * n_mod[1], 1e-300)
+    # diagonal commutator entries vanish for any object
+    diagonal = np.abs(np.diagonal(z[0], axis1=1, axis2=2)).max(axis=1) / zscale
+    if single_mode:
+        record(comm_zero, *(p / zscale for p in peaks), diagonal)
+    else:
+        weights = (nus, 1.0, nus * nus2)  # |Z_RI| / nu, |Z_RR|, |Z_II| / (nu nu2)
+        record("commutator_growth_bound",
+               *(np.maximum(p / w - c, 0.0) / c for p, w, c in zip(peaks, weights, bounds)))
+        record(comm_zero, diagonal)
 
     m0, minf = limit_tensors(model)
     # stationary point of I_ii coincides with the inflection of R_ii for a

@@ -113,6 +113,42 @@ def _in_range(values, message: str, *args, normal: bool = False):
     return values
 
 
+def _symmetric_packed(m, asym_tol: float) -> np.ndarray:
+    # packed (..., 6) coefficients of finite (..., 3, 3) matrices, by
+    # from_matrix's rule
+    peak = np.abs(m).max(axis=(-2, -1), keepdims=True)
+    mt = m.swapaxes(-1, -2)
+    if (np.abs(m - mt) > asym_tol * np.maximum(peak, 1.0)).any():
+        raise InvalidInputError("matrix is not symmetric to tolerance")
+    # halving the sum is exact, subnormals included, unless the sum
+    # overflows; then halve first
+    halve_first = peak >= 8e307
+    if halve_first.any():
+        with np.errstate(over="ignore"):
+            s = np.where(halve_first, 0.5 * m + 0.5 * mt, 0.5 * (m + mt))
+    else:
+        s = 0.5 * (m + mt)
+    return s.reshape(s.shape[:-2] + (9,)).take(_PACK_FLAT, axis=-1)
+
+
+def _squares(d1, d2, d3, o1, o2, o3):
+    # the squared Frobenius norm, summed in one order for floats and arrays
+    return (d1 * d1 + d2 * d2 + d3 * d3) + 2.0 * (o1 * o1 + o2 * o2 + o3 * o3)
+
+
+@np.errstate(over="ignore")
+def _norms(coeffs) -> np.ndarray:
+    # SymTensor3.norm of each packed (k, ..., 6) tensor, bit for bit; inf
+    # past the float range
+    squares = _squares(*np.moveaxis(coeffs, -1, 0))
+    norms = np.sqrt(squares)
+    big = squares == math.inf
+    if big.any():
+        scale = np.abs(coeffs[big]).max(axis=1)
+        norms[big] = scale * np.sqrt(_squares(*(coeffs[big] / scale[:, None]).T))
+    return norms
+
+
 class SymTensor3:
     """Real symmetric 3x3 tensor backed by six packed coefficients."""
 
@@ -163,14 +199,8 @@ class SymTensor3:
         m = _number_array("tensor coefficients", m)
         if m.shape != (3, 3):
             raise InvalidInputError(f"expected 3x3 matrix, got shape {m.shape}")
-        scale = max(np.abs(m).max(), 1.0)
-        if np.abs(m - m.T).max() > asym_tol * scale:
-            raise InvalidInputError("matrix is not symmetric to tolerance")
-        # halving the sum is exact, subnormals included, unless the sum
-        # overflows; then halve first
-        s = 0.5 * (m + m.T) if scale < 8e307 else 0.5 * m + 0.5 * m.T
-        t = cls.__new__(cls)  # s is finite, as m is: no second check
-        t.coeffs = s.take(_PACK_FLAT)
+        t = cls.__new__(cls)  # finite, as m is: no second check
+        t.coeffs = _symmetric_packed(m, asym_tol)
         return t
 
     @property
@@ -191,14 +221,11 @@ class SymTensor3:
         Coefficients whose squares overflow are divided by the largest one
         first.  A norm beyond the float range raises NumericRangeError.
         """
-        # Python floats overflow to inf without a warning; the sums run in
-        # the order numpy's would
-        d1, d2, d3, o1, o2, o3 = self.coeffs.tolist()
-        squares = (d1 * d1 + d2 * d2 + d3 * d3) + 2.0 * (o1 * o1 + o2 * o2 + o3 * o3)
+        # Python floats overflow to inf without a warning
+        squares = _squares(*self.coeffs.tolist())
         if squares < math.inf:
             return math.sqrt(squares)
-        scale = float(np.abs(self.coeffs).max())
-        norm = scale * SymTensor3(self.coeffs / scale).norm()
+        norm = float(_norms(self.coeffs[None])[0])
         return _in_range(norm, "tensor norm exceeds the float range")
 
     def __add__(self, other: "SymTensor3") -> "SymTensor3":
@@ -323,9 +350,14 @@ def eigen_sym3(t: SymTensor3) -> tuple[np.ndarray, Rotation3]:
 
 
 @np.errstate(over="ignore", invalid="ignore")
+def _rotated(coeffs, q: Rotation3) -> np.ndarray:
+    # dense Q T Q^T, (..., 3, 3), of packed (..., 6) coefficients, unchecked
+    return q.matrix @ unpack(coeffs) @ q.matrix.T
+
+
 def rotate_tensor(t: SymTensor3, q: Rotation3) -> SymTensor3:
     """Transform coefficients under a rotation: result_ij = Q_ip Q_jq T_pq."""
-    m = _in_range(q.matrix @ t.matrix @ q.matrix.T, "rotated tensor exceeds the float range")
+    m = _in_range(_rotated(t.coeffs, q), "rotated tensor exceeds the float range")
     return SymTensor3.from_matrix(m, asym_tol=1e-9)
 
 

@@ -456,6 +456,11 @@ REAL_SITES = {
     "SurrogateProblem theta0": (InvalidInputError, EYE, lambda x: _problem(theta0=x)),
     "verify_identities nu_grid": (InvalidInputError, [1, 2],
                                   lambda x: verify_identities(PROBLEM, nu_grid=x)),
+    # an array for either frequency selects the grid form
+    "commutator_Z nu1 grid": (InvalidInputError, [1, 2],
+                              lambda x: commutator_Z(MODEL, x, [1.0, 2.0], kind="RR")),
+    "commutator_Z nu2 grid": (InvalidInputError, [1, 2],
+                              lambda x: commutator_Z(MODEL, [1.0, 2.0], x, kind="II")),
 }
 # the fit's sweep data is not integral
 INTEGRAL_BASES = [site for site in REAL_SITES if not site.startswith("fit_report")]
@@ -544,6 +549,41 @@ class TestRealArray:
             fit_report((SWEEP_NU[:-1], SWEEP_R, SWEEP_I), 1.0)
         with pytest.raises(InvalidInputError, match=r"\(points, 6\)"):
             fit_report((SWEEP_NU[:, None], SWEEP_R, SWEEP_I), 1.0)
+
+
+class TestCommutatorGrid:
+    # the grid form of commutator_Z: frequencies must be positive, nu1 1-D,
+    # and an array nu2 of nu1's shape
+    @pytest.mark.parametrize("bad", [0, 0.0, -1.0, -5e-324])
+    @pytest.mark.parametrize("kind", ["RI", "RR", "II"])
+    def test_nonpositive_frequency_names_its_argument(self, kind, bad):
+        message = f"^nu1 must be finite and positive, got {float(bad)!r}$"
+        with pytest.raises(DomainError, match=message):
+            commutator_Z(MODEL, [1.0, bad], [1.0, 2.0], kind=kind)
+        message = f"^nu2 must be finite and positive, got {float(bad)!r}$"
+        with pytest.raises(DomainError, match=message):
+            commutator_Z(MODEL, [1.0, 2.0], np.array([bad, 2.0]), kind=kind)
+        with pytest.raises(DomainError, match="^nu2 must be finite and positive"):
+            commutator_Z(MODEL, [1.0, 2.0], bad, kind=kind)
+
+    @pytest.mark.parametrize("nu1, nu2", [
+        ([1.0, 2.0], [1.0, 2.0, 3.0]),
+        ([1.0, 2.0], [[1.0, 2.0]]),
+        (1.0, [1.0, 2.0]),
+        ([[1.0, 2.0]], [1.0, 2.0]),
+        ([[1.0, 2.0]], None),
+        (np.ones((2, 1)), 1.0),
+    ], ids=["longer", "2-D nu2", "scalar nu1", "2-D nu1", "2-D alone", "column"])
+    def test_mismatched_shapes_rejected(self, nu1, nu2):
+        with pytest.raises(InvalidInputError, match="nu1|nu2"):
+            commutator_Z(MODEL, nu1, nu2, kind="RR" if nu2 is not None else "RI")
+
+    def test_every_kind_accepts_lists_tuples_and_arrays(self):
+        grid = [0.5, 1.0, 4.0]
+        for kind in ("RI", "RR", "II"):
+            want = commutator_Z(MODEL, np.array(grid), np.array(grid[::-1]), kind=kind)
+            got = commutator_Z(MODEL, tuple(grid), grid[::-1], kind=kind)
+            assert got.shape == (3, 3, 3) and got.tobytes() == want.tobytes()
 
 
 NV_BAD = [0.5, 1.9, True, "2", np.nan, np.inf, 1j, None, HUGE, 2**63]

@@ -7,6 +7,7 @@ floating-point warning may come first, and checks the site's whole message.
 
 import ast
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +31,12 @@ from mptspec import (
     eigen_sym3,
     evaluate,
     fit_dominant,
+    generate,
     mpt_sphere,
     perturbed_field,
     rotate_tensor,
     sphere_spectral_model,
+    verify_identities,
 )
 from mptspec.fitting import default_fit_grid
 from mptspec.poleresidue import contour_residue
@@ -89,6 +92,14 @@ def _fit_overflow():
 def _kernel_sample():
     big = SymTensor3.isotropic(1e308)
     return TransientKernel(big, SymTensor3.zero(), ((-1.0, big),)).sample([0.0, 1.0])
+
+
+def _battery(k_scale=1.0, theta0_scale=1.0):
+    # a three-mode problem whose commutator bound constants, lam^2 T0^2 and
+    # T0^4 in scale, leave the normal floats
+    p = generate(3, 1)
+    return verify_identities(replace(p, k_matrix=p.k_matrix * k_scale,
+                                     theta0=p.theta0 * theta0_scale))
 
 
 # (site, id, call, message): the site is the function that holds the check
@@ -173,6 +184,15 @@ RANGE_CASES = [
     ("sphere.sphere_spectral_model", "sphere-couplings",
      lambda: sphere_spectral_model(SphereSpec(1e100, 1e-300, 1e-300), 3),
      "sphere couplings leave the float range"),
+    ("surrogate.verify_identities", "bound-constants-overflow",
+     lambda: _battery(k_scale=1e154),
+     "commutator bound constants leave the normal floats"),
+    ("surrogate.verify_identities", "bound-constants-underflow",
+     lambda: _battery(theta0_scale=2.0**-540),
+     "commutator bound constants leave the normal floats"),
+    ("surrogate.verify_identities", "bound-products-overflow",
+     lambda: _battery(k_scale=2.0**40, theta0_scale=2.0**262),
+     "commutator bound constants leave the normal floats"),
 ]
 
 

@@ -501,6 +501,64 @@ class TestCommutatorRangeRule:
         assert 0 < len(refused) < 400
 
 
+def stacked_commutators(model, nus, nu2s, kind):
+    # the grid form's reference: one scalar call per point
+    return np.array([commutator_Z(model, a, b, kind=kind) for a, b in zip(nus, nu2s)])
+
+
+class TestCommutatorGrid:
+    # commutator_Z over a 1-D nu1 array: each matrix the bytes of its
+    # single-frequency call
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bytes_of_the_stacked_scalar_calls(self, seed):
+        model = random_model(seed, n_modes=1 + seed)
+        grid = np.geomspace(1e-4, 1e4, 25)
+        for kind in ("RI", "RR", "II"):
+            want = stacked_commutators(model, grid, grid[::-1], kind)
+            assert commutator_Z(model, grid, grid[::-1], kind=kind).tobytes() == want.tobytes()
+            want = stacked_commutators(model, grid, [3.0] * grid.size, kind)
+            assert commutator_Z(model, grid.tolist(), 3.0, kind=kind).tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_bytes_at_the_products_range(self):
+        # the models of TestCommutatorRange, whose products a @ b overflow
+        axes = (Mode(1.0, 1, np.array([[1.0, 0.0, 0.0]])),
+                Mode(4.0, 1, np.array([[0.0, 2.0, 0.0]])))
+        spike = (Mode(1.0, 1, np.array([[1e150, 0.0, 0.0]])),
+                 Mode(4.0, 1, np.array([[0.3, 0.5, -0.2]])))
+        grid = np.geomspace(0.1, 30.0, 9)
+        for alpha, modes in ((1e100, axes), (1.0, spike)):
+            model = SpectralModel(alpha=alpha, sigma_star=1.0, n0=SymTensor3.zero(), modes=modes)
+            for kind in ("RI", "RR", "II"):
+                want = stacked_commutators(model, grid, grid[::-1], kind)
+                assert commutator_Z(model, grid, grid[::-1], kind=kind).tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_bytes_at_the_range_edge(self):
+        # the model of TestCommutatorRangeRule: the commutator passes 2^1024
+        # between these nu
+        model = random_model(4, n_modes=3, alpha=1e100)
+        grid = np.geomspace(1e-98, 1e-97, 400)
+        kept = []
+        for nu in grid:
+            try:
+                commutator_Z(model, nu)
+            except NumericRangeError:
+                # one overflowing point refuses the whole grid, with the
+                # scalar call's message
+                message = "^commutator exceeds the float range$"
+                with pytest.raises(NumericRangeError, match=message):
+                    commutator_Z(model, np.array([grid[0], nu, grid[-1]]))
+            else:
+                kept.append(nu)
+        assert 0 < len(kept) < grid.size
+        want = stacked_commutators(model, kept, kept, "RI")
+        assert commutator_Z(model, kept).tobytes() == want.tobytes()
+
+    def test_empty_grid_gives_no_matrices(self):
+        assert commutator_Z(random_model(1), np.array([])).shape == (0, 3, 3)
+
+
 def _rate_edge_models() -> dict:
     # the sphere model with one decay rate lam / time_constant out of range:
     # overflowing to -inf, or underflowing to -0.0

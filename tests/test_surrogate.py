@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from mptspec import (
     DomainError,
     InvalidInputError,
     MptError,
+    Rotation3,
     SymTensor3,
     assemble,
     beta,
@@ -27,8 +29,15 @@ from mptspec import (
     generate,
     verify_identities,
 )
-from mptspec.spectral import FrequencyGrid
-from mptspec.surrogate import SurrogateProblem, _corrupt_first_coupling, energy_tensors_alt
+from mptspec.spectral import FrequencyGrid, _packed_ri, rotate_model
+from mptspec.surrogate import (
+    SurrogateProblem,
+    _corrupt_first_coupling,
+    _energy_alt,
+    _energy_direct,
+    _orthogonal,
+    energy_tensors_alt,
+)
 from conftest import ORACLE_CASES, random_model
 
 
@@ -277,6 +286,131 @@ class TestEnergyTensors:
         for form in (energy_tensors_direct, energy_tensors_alt):
             r, i = form(p, 1.0)
             assert r.norm() > 0.0 and i.norm() > 0.0
+
+
+    def test_stacked_energy_path_never_reads_the_spectral_core(self, monkeypatch):
+        import mptspec.spectral
+
+        def refuse(model):
+            raise AssertionError("the direct LU route read the spectral core")
+
+        monkeypatch.setattr(mptspec.spectral, "_core", refuse)
+        p = generate(6, seed=2)
+        nus = p.nu_grid.values
+        theta1 = np.array([direct_theta1(p, nu) for nu in nus])
+        for block in (_energy_direct, _energy_alt):
+            ri = block(p, nus, theta1)
+            assert ri.shape == (2, nus.size, 6) and np.abs(ri).max() > 0.0
+
+
+def energy_direct_per_nu(problem, nu):
+    # the direct energy forms as they were formed one nu at a time
+    theta1 = direct_theta1(problem, nu)
+    kt = problem.k_matrix @ theta1
+    scale = problem.alpha**3 / 4.0
+    r = -scale * np.real(theta1.conj().T @ kt)
+    ohmic = np.real(kt.conj().T @ kt)
+    weight = scale / float(nu)
+    i = weight * ohmic if weight < np.inf else scale * (ohmic / nu)
+    return [SymTensor3.from_matrix(0.5 * (m + m.T), asym_tol=1e-9) for m in (r, i)]
+
+
+def energy_alt_per_nu(problem, nu):
+    # the alternative forms as they were formed one nu at a time
+    theta1 = direct_theta1(problem, nu)
+    scale = problem.alpha**3 / 4.0
+    t0 = problem.theta0
+    r = -scale * nu * (theta1.imag.T @ t0)
+    i = scale * nu * (theta1.real.T @ t0 + t0.T @ t0)
+    return [SymTensor3.from_matrix(0.5 * (m + m.T), asym_tol=1e-6) for m in (r, i)]
+
+
+# the problems of _pinned_reports, with the corrupted control's flag
+PINNED_PROBLEMS = [(case, False) for case in ORACLE_CASES] + [
+    ((8, 11), True), ((2, 3, "clustered"), False)]
+
+
+class TestGridForms:
+    # the battery's grid forms on its pinned problems: every row has the
+    # bits of the single-nu form
+    @pytest.mark.parametrize("case, corrupt", PINNED_PROBLEMS,
+                             ids=[str(c) + "-corrupt" * k for c, k in PINNED_PROBLEMS])
+    def test_grid_rows_are_the_assembled_tensors(self, case, corrupt):
+        p = generate(*case)
+        model = eigen_model(p, SymTensor3.zero())
+        if corrupt:
+            model = _corrupt_first_coupling(model)
+        q = Rotation3(_orthogonal(np.random.default_rng(20190531), 3))
+        nus = p.nu_grid.values
+        for m in (model, rotate_model(model, q)):
+            ri = _packed_ri(m, nus)
+            want = [assemble(m, nu)[:2] for nu in nus]
+            assert ri[0].tobytes() == np.array([r.coeffs for r, _ in want]).tobytes()
+            assert ri[1].tobytes() == np.array([i.coeffs for _, i in want]).tobytes()
+
+    @pytest.mark.parametrize("case", [c for c, corrupt in PINNED_PROBLEMS if not corrupt])
+    def test_energy_blocks_are_the_per_nu_forms(self, case):
+        p = generate(*case)
+        nus = p.nu_grid.values
+        theta1 = np.array([direct_theta1(p, nu) for nu in nus])
+        for block, form, per_nu in ((_energy_direct, energy_tensors_direct, energy_direct_per_nu),
+                                    (_energy_alt, energy_tensors_alt, energy_alt_per_nu)):
+            got = block(p, nus, theta1)
+            for k, nu in enumerate(nus):
+                want = [t.coeffs.tobytes() for t in per_nu(p, nu)]
+                assert [t.coeffs.tobytes() for t in form(p, nu)] == want
+                assert [got[0, k].tobytes(), got[1, k].tobytes()] == want
+
+
+# the functions that the benchmark's oracle_battery workload stresses: a
+# traced run is judged incorrect when one of them records no call, so a
+# faster battery that stops calling one fails the benchmark, as one once
+# did.  Until ROADMAP item 1a retargets the stresses, the battery keeps
+# calling each of them.
+ORACLE_STRESSES = (
+    ("spectral", "assemble"), ("spectral", "mode_tensor"), ("spectral", "commutator_Z"),
+    ("spectral", "assemble_dlog"), ("spectral", "limit_tensors"),
+    ("tensors", "SymTensor3.from_matrix"), ("tensors", "eigen_sym3"),
+    ("tensors", "rotate_tensor"), ("tensors", "offdiag_bound_report"),
+    ("surrogate", "generate"), ("surrogate", "eigen_model"),
+    ("surrogate", "direct_theta1"), ("surrogate", "verify_identities"),
+)
+
+
+def test_the_battery_calls_every_stressed_function(monkeypatch):
+    # counting wrappers bound wherever the package holds the function, as
+    # the benchmark's tracer binds its spans
+    import mptspec
+
+    calls = Counter()
+    modules = [m for n, m in sys.modules.items() if n == "mptspec" or n.startswith("mptspec.")]
+    for modname, qual in ORACLE_STRESSES:
+        owner, name = importlib.import_module(f"mptspec.{modname}"), f"{modname}.{qual}"
+        if "." in qual:  # a classmethod
+            cls_name, attr = qual.split(".")
+            cls = getattr(owner, cls_name)
+            fn = cls.__dict__[attr].__func__
+
+            def counted(cls_, *args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(cls_, *args, **kwargs)
+
+            monkeypatch.setattr(cls, attr, classmethod(counted))
+            continue
+        original = getattr(owner, qual)
+
+        def counted(*args, _fn=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    # a multi-mode problem, and a single-mode one for assemble_dlog
+    for args in ((8, 11), (2, 3, "clustered")):
+        assert mptspec.verify_identities(mptspec.generate(*args)).passed
+    assert [f"{m}.{q}" for m, q in ORACLE_STRESSES if calls[f"{m}.{q}"] == 0] == []
 
 
 class TestVerifyIdentities:

@@ -1,5 +1,6 @@
 """Tensor algebra, the Jacobi eigensolver and the dipole field formula."""
 
+import math
 import re
 
 import numpy as np
@@ -21,7 +22,7 @@ from mptspec import (
     perturbed_field,
     rotate_tensor,
 )
-from mptspec.tensors import _shown
+from mptspec.tensors import _norms, _rotated, _shown, _symmetric_packed
 
 finite_coeff = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 sym_tensors = st.builds(
@@ -155,6 +156,65 @@ class TestNorm:
     def test_beyond_float_range_raises(self, tensor):
         with pytest.raises(NumericRangeError):
             tensor.norm()
+
+
+def norm_by_recursion(t: SymTensor3) -> float:
+    # norm() as it was before its sums were shared with the packed form:
+    # squares as Python floats, and past their range the tensor divided by
+    # its largest entry
+    d1, d2, d3, o1, o2, o3 = t.coeffs.tolist()
+    squares = (d1 * d1 + d2 * d2 + d3 * d3) + 2.0 * (o1 * o1 + o2 * o2 + o3 * o3)
+    if squares < math.inf:
+        return math.sqrt(squares)
+    scale = float(np.abs(t.coeffs).max())
+    return scale * norm_by_recursion(SymTensor3(t.coeffs / scale))
+
+
+def _mixed_rows(rng, k):
+    # k packed tensors from 1e-320 to 5e307 in scale, squares overflowing
+    # in some; no norm leaves the float range
+    rows = np.clip(rng.standard_normal((k, 6)), -1.0, 1.0)
+    rows *= 5.0 * 10.0 ** rng.uniform(-321, 307, (k, 1))
+    rows[0] = [5e307, -5e307, 0.0, 5e-324, -0.0, 4e307]
+    return rows
+
+
+@pytest.mark.filterwarnings("error")
+class TestPackedForms:
+    # the stacked norm, symmetrisation and rotation that the oracle battery
+    # applies to whole grids: each row has the bits of the one-tensor form
+    def test_norms_are_the_bits_of_norm(self, rng):
+        rows = _mixed_rows(rng, 200)
+        want = [norm_by_recursion(SymTensor3(r)) for r in rows]
+        assert [SymTensor3(r).norm() for r in rows] == want
+        assert _norms(rows).tolist() == want
+        assert _norms(rows.reshape(2, 100, 6)).ravel().tolist() == want
+
+    def test_norms_past_the_float_range_are_inf(self):
+        rows = np.array([[1.5e308, 1.5e308, 0.0, 0.0, 0.0, 0.0], [1.0] * 6])
+        assert _norms(rows).tolist() == [math.inf, 3.0]
+
+    def test_symmetric_packed_is_from_matrix(self, rng):
+        rows = _mixed_rows(rng, 100)
+        m = SymTensor3._rows(rows)
+        mats = np.array([t.matrix for t in m])
+        mats[:, 0, 1] *= 1.0 + 1e-13  # asymmetric below the tolerance
+        want = [SymTensor3.from_matrix(x, asym_tol=1e-12).coeffs.tobytes() for x in mats]
+        assert [r.tobytes() for r in _symmetric_packed(mats, 1e-12)] == want
+
+    def test_symmetric_packed_refuses_one_asymmetric_block(self, rng):
+        mats = np.array([t.matrix for t in SymTensor3._rows(rng.standard_normal((5, 6)))])
+        mats[3, 2, 0] += 1e-3
+        with pytest.raises(InvalidInputError, match="not symmetric to tolerance"):
+            _symmetric_packed(mats, 1e-9)
+
+    def test_rotation_is_rotate_tensor(self, rng):
+        rows = np.clip(rng.standard_normal((60, 6)), -1.0, 1.0)
+        rows *= 10.0 ** rng.uniform(-300, 307, (60, 1))
+        q = Rotation3(np.linalg.qr(rng.standard_normal((3, 3)))[0])
+        got = _symmetric_packed(_rotated(rows, q), 1e-9)
+        want = [rotate_tensor(SymTensor3(r), q).coeffs.tobytes() for r in rows]
+        assert [r.tobytes() for r in got] == want
 
 
 class TestEigenSym3:
