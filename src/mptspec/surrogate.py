@@ -75,6 +75,16 @@ class SurrogateProblem:
             raise InvalidInputError("K must be symmetric to 1e-14")
         object.__setattr__(self, "k_matrix", k)
         object.__setattr__(self, "theta0", t)
+        object.__setattr__(self, "nu_grid", _nu_grid(self.nu_grid))
+
+
+def _nu_grid(grid) -> FrequencyGrid:
+    # the surrogate's grid rule: a nu grid, or values that make one
+    if not isinstance(grid, FrequencyGrid):
+        grid = FrequencyGrid(grid, "nu")
+    if grid.kind != "nu":
+        raise InvalidInputError("the surrogate's grid must be of kind 'nu'")
+    return grid
 
 
 def _spectrum(dim: int, shape: str) -> np.ndarray:
@@ -282,21 +292,32 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _corrupt_first_coupling(model: SpectralModel, amount: float = 1e-3) -> SpectralModel:
+def _corrupt_first_coupling(model: SpectralModel) -> SpectralModel:
     first = model.modes[0]
     rows = first.couplings.copy()
-    rows[0, 0] += amount
+    rows[0, 0] += 1e-3
     modes = (replace(first, couplings=rows, dark=False),) + model.modes[1:]
     return replace(model, modes=modes)
 
 
-# the checks whose report entries carry a note
-_NOTES = {
-    "inflection_stationary_coincidence":
-        "single-mode: d2R/dlog2 and dI/dlog vanish at nu = lam_1",
-    "commutator_growth_bound":
-        "|Z_RI|/nu, |Z_RR|, |Z_II|/(nu1 nu2) under derived constants",
-}
+# the battery's checks in report order, as (name, variant, note): variant
+# None runs on every model, True on a single-mode model only and False on a
+# multi-mode model only
+_CHECKS = (
+    ("series_vs_direct_solve", None, ""),
+    ("assemble_vs_energy_direct", None, ""),
+    ("energy_alternative_forms", None, ""),
+    ("definiteness_R_I", None, ""),
+    ("offdiagonal_bounds", None, ""),
+    ("rotation_equivariance", None, ""),
+    ("inflection_stationary_coincidence", True,
+     "single-mode: d2R/dlog2 and dI/dlog vanish at nu = lam_1"),
+    ("commutator_growth_bound", False,
+     "|Z_RI|/nu, |Z_RR|, |Z_II|/(nu1 nu2) under derived constants"),
+    ("commutator_single_mode_zero", True, ""),
+    ("commutator_diagonal_zero", False, ""),
+    ("infinite_frequency_limit", None, ""),
+)
 
 
 def _rel(diff: float, scale: float) -> float:
@@ -312,9 +333,11 @@ def verify_identities(
 ) -> VerificationReport:
     """Run the full identity battery on every positive grid point.
 
-    Each check records its worst relative violation over those points (0.0
-    if there are none) and passes when that is at most ``tol``.  The checks
-    come in a fixed order; a single-mode model gets the inflection and
+    ``nu_grid`` (the problem's grid if None) follows ``SurrogateProblem``'s
+    grid rule: a nu ``FrequencyGrid`` or values that make one.  Each check
+    records its worst relative violation over those points (0.0 if there
+    are none) and passes when that is at most ``tol``.  The checks
+    come in ``_CHECKS`` order; a single-mode model gets the inflection and
     zero-commutator checks in place of the commutator growth bound and the
     zero-diagonal check.  Failures become report entries, never exceptions.
     ``corrupt_coupling`` perturbs one model coupling by 1e-3 after
@@ -326,12 +349,7 @@ def verify_identities(
     commutators) is formed on the whole grid, with the per-point bits.
     """
     _check_positive("tol", tol)
-    if nu_grid is None:
-        nus = problem.nu_grid.values
-    elif isinstance(nu_grid, FrequencyGrid):
-        nus = nu_grid.values
-    else:
-        nus = FrequencyGrid(nu_grid, "nu").values
+    nus = _nu_grid(problem.nu_grid if nu_grid is None else nu_grid).values
     nus = nus[nus > 0.0]
 
     a3 = problem.alpha**3
@@ -356,21 +374,7 @@ def verify_identities(
     if not single_mode:  # the growth bound divides by them
         _in_range(bounds, "commutator bound constants leave the normal floats", normal=True)
 
-    # the worst relative violation of each check over the grid, in report
-    # order
-    comm_zero = "commutator_single_mode_zero" if single_mode else "commutator_diagonal_zero"
-    worst = dict.fromkeys(
-        ("series_vs_direct_solve", "assemble_vs_energy_direct", "energy_alternative_forms",
-         "definiteness_R_I", "offdiagonal_bounds", "rotation_equivariance",
-         "inflection_stationary_coincidence" if single_mode else "commutator_growth_bound",
-         comm_zero, "infinite_frequency_limit"),
-        0.0,
-    )
-
-    def record(name: str, *columns) -> None:
-        # a running max over each point's values (one per column), in grid order
-        worst[name] = max([worst[name], *np.column_stack(columns).ravel().tolist()])
-
+    found = {}  # each check's violations: columns over the grid, or scalars
     # one LU solve per nu feeds the series check and both energy forms
     theta1, series = [], []
     for nu in nus:
@@ -379,7 +383,7 @@ def verify_identities(
         theta1_series = phi @ (beta_diag[:, None] * proj)
         series.append(
             _rel(np.linalg.norm(theta1[-1] - theta1_series), np.linalg.norm(theta1[-1])))
-    record("series_vs_direct_solve", np.array(series))
+    found["series_vs_direct_solve"] = (np.array(series),)
     theta1 = np.array(theta1, dtype=complex).reshape(-1, problem.dim, 3)
 
     def norms(blocks):  # of packed (2, points, 6) R and I
@@ -393,8 +397,8 @@ def verify_identities(
     mod, rot = _packed_ri(model, nus), _packed_ri(model_rot, nus)
     n_direct, n_mod = norms(direct), norms(mod)
     scale = np.maximum(n_direct[0] + n_direct[1], 1e-300)
-    record("assemble_vs_energy_direct", diff(mod, direct) / scale)
-    record("energy_alternative_forms", diff(_energy_alt(problem, nus, theta1), direct) / scale)
+    found["assemble_vs_energy_direct"] = (diff(mod, direct) / scale,)
+    found["energy_alternative_forms"] = (diff(_energy_alt(problem, nus, theta1), direct) / scale,)
     rotated = _in_range(_rotated(mod, q), "rotated tensor exceeds the float range")
     rotation = diff(rot, _symmetric_packed(rotated, 1e-9)) / scale
 
@@ -412,9 +416,9 @@ def verify_identities(
             _rel(np.abs(er_rot - eig_r).max(), nr),
         ))
     per_nu = np.array(per_nu).reshape(-1, 5).T
-    record("definiteness_R_I", *per_nu[:2])
-    record("offdiagonal_bounds", *per_nu[2:4])
-    record("rotation_equivariance", rotation, per_nu[4])
+    found["definiteness_R_I"] = per_nu[:2]
+    found["offdiagonal_bounds"] = per_nu[2:4]
+    found["rotation_equivariance"] = (rotation, per_nu[4])
 
     nus2 = np.roll(nus, -7)  # the point 7 further on, cyclically
     z = [commutator_Z(model, nus, nus2, kind=kind) for kind in ("RI", "RR", "II")]
@@ -423,12 +427,12 @@ def verify_identities(
     # diagonal commutator entries vanish for any object
     diagonal = np.abs(np.diagonal(z[0], axis1=1, axis2=2)).max(axis=1) / zscale
     if single_mode:
-        record(comm_zero, *(p / zscale for p in peaks), diagonal)
+        found["commutator_single_mode_zero"] = (*(p / zscale for p in peaks), diagonal)
     else:
         weights = (nus, 1.0, nus * nus2)  # |Z_RI| / nu, |Z_RR|, |Z_II| / (nu nu2)
-        record("commutator_growth_bound",
-               *(np.maximum(p / w - c, 0.0) / c for p, w, c in zip(peaks, weights, bounds)))
-        record(comm_zero, diagonal)
+        found["commutator_growth_bound"] = [
+            np.maximum(p / w - c, 0.0) / c for p, w, c in zip(peaks, weights, bounds)]
+        found["commutator_diagonal_zero"] = (diagonal,)
 
     m0, minf = limit_tensors(model)
     # stationary point of I_ii coincides with the inflection of R_ii for a
@@ -436,21 +440,19 @@ def verify_identities(
     if single_mode:
         _, d2_r, d_i = assemble_dlog(model, model.modes[0].lam)
         a1 = minf - m0  # the one residue A_1
-        record(
-            "inflection_stationary_coincidence",
-            _rel(d2_r.norm(), a1.norm()),
-            _rel(d_i.norm(), a1.norm()),
-        )
+        found["inflection_stationary_coincidence"] = (
+            _rel(d2_r.norm(), a1.norm()), _rel(d_i.norm(), a1.norm()))
 
     nu_huge = 1e9 * model.modes[-1].lam
     r_huge = assemble(model, nu_huge)[0]
-    record(
-        "infinite_frequency_limit",
-        _rel((minf - (model.n0 + r_huge)).norm(), max(minf.norm(), m0.norm())),
-    )
+    found["infinite_frequency_limit"] = (
+        _rel((minf - (model.n0 + r_huge)).norm(), max(minf.norm(), m0.norm())),)
 
-    checks = tuple(
-        IdentityCheck(name, v, tol, v <= tol, _NOTES.get(name, ""))
-        for name, v in worst.items()
-    )
-    return VerificationReport(problem.dim, int(nus.size), checks)
+    checks = []
+    for name, variant, note in _CHECKS:
+        if variant in (None, single_mode):
+            # a running max over each point's values in grid order; a check
+            # that stored nothing raises KeyError, never leaves the report
+            v = max([0.0, *np.column_stack(found[name]).ravel().tolist()])
+            checks.append(IdentityCheck(name, v, tol, v <= tol, note))
+    return VerificationReport(problem.dim, int(nus.size), tuple(checks))

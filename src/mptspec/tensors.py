@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Complex, Integral, Real
 
 import numpy as np
 
@@ -50,15 +50,24 @@ def _shown(x) -> str:
         return f"<{type(x).__name__} of {len(x)} items>"
 
 
+# per element kind: the ndarray dtype kinds taken as is, the result's dtype, the message's noun
+_ARRAY_KINDS = {
+    Real: ("fiu", float, "real numbers"),
+    Complex: ("fiuc", complex, "complex numbers"),
+    Integral: ("iu", int, "integers"),
+}
+
+
 def _number_array(what: str, values, kind=Real) -> np.ndarray:
-    """A float (``kind=Real``) or int (``kind=Integral``) array of finite numbers.
+    """A float, complex or int array of finite numbers, for ``kind`` Real, Complex or Integral.
 
     A numeric ndarray of a matching dtype is not copied if it has the result's
     dtype already; anything else is checked element by element by
-    :func:`is_number`, so a bool, a string, a complex value, None or a ragged
-    list raises InvalidInputError, never coerced.  Shapes are the caller's.
+    :func:`is_number`, so a bool, a string, a value outside ``kind``, None or
+    a ragged list raises InvalidInputError, never coerced.  Shapes are the
+    caller's.
     """
-    kinds, dtype = ("fiu", float) if kind is Real else ("iu", int)
+    kinds, dtype, noun = _ARRAY_KINDS[kind]
     if isinstance(values, np.ndarray) and values.dtype.kind in kinds:
         a = values.astype(dtype, copy=False)
         if np.isfinite(a).all():
@@ -70,7 +79,6 @@ def _number_array(what: str, values, kind=Real) -> np.ndarray:
                 return items.astype(dtype)
         except (ValueError, OverflowError):  # ragged, or an int beyond int64
             pass
-    noun = "real numbers" if kind is Real else "integers"
     raise InvalidInputError(f"{what} must be finite {noun}")
 
 
@@ -113,6 +121,7 @@ def _in_range(values, message: str, *args, normal: bool = False):
     return values
 
 
+@np.errstate(over="ignore")  # an infinite difference or bound compares as it should
 def _symmetric_packed(m, asym_tol: float) -> np.ndarray:
     # packed (..., 6) coefficients of finite (..., 3, 3) matrices, by
     # from_matrix's rule
@@ -124,8 +133,7 @@ def _symmetric_packed(m, asym_tol: float) -> np.ndarray:
     # overflows; then halve first
     halve_first = peak >= 8e307
     if halve_first.any():
-        with np.errstate(over="ignore"):
-            s = np.where(halve_first, 0.5 * m + 0.5 * mt, 0.5 * (m + mt))
+        s = np.where(halve_first, 0.5 * m + 0.5 * mt, 0.5 * (m + mt))
     else:
         s = 0.5 * (m + mt)
     return s.reshape(s.shape[:-2] + (9,)).take(_PACK_FLAT, axis=-1)
@@ -196,6 +204,9 @@ class SymTensor3:
     @classmethod
     def from_matrix(cls, m, asym_tol: float = 1e-12) -> "SymTensor3":
         """Pack a dense symmetric matrix; reject if asymmetry exceeds tolerance."""
+        if not (is_number(asym_tol) and asym_tol >= 0.0):
+            raise InvalidInputError(
+                f"asym_tol must be finite and nonnegative, got {_shown(asym_tol)}")
         m = _number_array("tensor coefficients", m)
         if m.shape != (3, 3):
             raise InvalidInputError(f"expected 3x3 matrix, got shape {m.shape}")
@@ -263,7 +274,7 @@ class ComplexSymTensor3:
 
     @classmethod
     def from_matrix(cls, m, asym_tol: float = 1e-12) -> "ComplexSymTensor3":
-        m = np.asarray(m, dtype=complex)
+        m = _number_array("tensor coefficients", m, kind=Complex)
         return cls(
             SymTensor3.from_matrix(m.real, asym_tol),
             SymTensor3.from_matrix(m.imag, asym_tol),

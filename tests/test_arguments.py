@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from mptspec import (
+    ComplexSymTensor3,
     DomainError,
     FrequencyGrid,
     InvalidInputError,
@@ -461,6 +462,8 @@ REAL_SITES = {
                               lambda x: commutator_Z(MODEL, x, [1.0, 2.0], kind="RR")),
     "commutator_Z nu2 grid": (InvalidInputError, [1, 2],
                               lambda x: commutator_Z(MODEL, [1.0, 2.0], x, kind="II")),
+    "SurrogateProblem nu_grid": (InvalidInputError, [1, 2],
+                                 lambda x: SurrogateProblem(3, K_INT, EYE, 1.0, 1.0, x)),
 }
 # the fit's sweep data is not integral
 INTEGRAL_BASES = [site for site in REAL_SITES if not site.startswith("fit_report")]
@@ -611,3 +614,92 @@ class TestIntegerArray:
     def test_integers_pass(self, nv):
         stored = _poles(nv=nv).nv
         assert stored.dtype == np.int64 and stored.tolist() == [int(k) for k in nv]
+
+
+class TestSurrogateGrid:
+    # the surrogate's one grid rule: a nu grid, or values that make one
+    OMEGA = FrequencyGrid([1.0, 2.0], "omega")
+
+    @pytest.mark.parametrize("site", ["SurrogateProblem", "verify_identities"])
+    def test_omega_grid_rejected(self, site):
+        with pytest.raises(InvalidInputError, match="^the surrogate's grid must be of kind 'nu'$"):
+            if site == "SurrogateProblem":
+                SurrogateProblem(3, K_INT, EYE, 1.0, 1.0, self.OMEGA)
+            else:
+                verify_identities(PROBLEM, nu_grid=self.OMEGA)
+
+    @pytest.mark.parametrize("bad", ["x", None, 1.0, [[1.0, 2.0]], [2.0, 1.0]],
+                             ids=["str", "None", "scalar", "2-D", "decreasing"])
+    def test_values_that_make_no_grid_rejected(self, bad):
+        with pytest.raises(InvalidInputError):
+            SurrogateProblem(3, K_INT, EYE, 1.0, 1.0, bad)
+
+    def test_values_become_a_nu_grid(self):
+        problem = SurrogateProblem(3, K_INT, EYE, 1.0, 1.0, [1, 2])
+        assert isinstance(problem.nu_grid, FrequencyGrid) and problem.nu_grid.kind == "nu"
+        assert problem.nu_grid.values.tolist() == [1.0, 2.0]
+        want = verify_identities(_problem()).to_dict()
+        assert verify_identities(problem).to_dict() == want
+        assert verify_identities(PROBLEM, nu_grid=(1, 2)).to_dict() == verify_identities(
+            PROBLEM, nu_grid=FrequencyGrid([1.0, 2.0])).to_dict()
+
+
+ASYM = [[1, 5, 0], [0, 1, 0], [0, 0, 1]]
+
+
+class TestAsymTol:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, -5e-324, True, "x", None,
+                                     1j, HUGE], ids=_ids([np.nan, np.inf, -np.inf, -1.0, -5e-324,
+                                                          True, "x", None, 1j, HUGE]))
+    @pytest.mark.parametrize("cls", [SymTensor3, ComplexSymTensor3])
+    def test_bad_tolerance_rejected(self, cls, bad):
+        with pytest.raises(InvalidInputError, match="^asym_tol must be finite and nonnegative"):
+            cls.from_matrix(EYE, asym_tol=bad)
+
+    @pytest.mark.parametrize("tol", [0, 0.0, 5e-324, np.float64(1e-9), np.float32(1.0), 10])
+    def test_edges_pass(self, tol):
+        assert SymTensor3.from_matrix(EYE, asym_tol=tol).coeffs.tolist() == [1, 1, 1, 0, 0, 0]
+
+    def test_wide_tolerance_averages(self):
+        assert SymTensor3.from_matrix(ASYM, asym_tol=10).coeffs.tolist() == [1, 1, 1, 2.5, 0, 0]
+        with pytest.raises(InvalidInputError, match="not symmetric"):
+            SymTensor3.from_matrix(ASYM, asym_tol=0.5)  # relative to the peak 5
+
+    def test_no_overflow_warning(self):
+        # a bound or a difference past the float range compares without a warning
+        assert SymTensor3.from_matrix(ASYM, asym_tol=1e308).coeffs.tolist() == [1, 1, 1, 2.5, 0, 0]
+        with pytest.raises(InvalidInputError, match="not symmetric"):
+            SymTensor3.from_matrix([[0, 1.7e308, 0], [-1.7e308, 0, 0], [0, 0, 0]])
+
+
+class TestComplexArray:
+    # ComplexSymTensor3.from_matrix goes through the array rule with complex
+    # elements allowed
+    MESSAGE = "^tensor coefficients must be finite complex numbers$"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.inf), "1", "a", True,
+                                     None, HUGE], ids=_ids([np.nan, np.inf, complex(1.0, np.inf),
+                                                            "1", "a", True, None, HUGE]))
+    def test_bad_element_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match=self.MESSAGE):
+            ComplexSymTensor3.from_matrix(_with_first(EYE, bad))
+
+    @pytest.mark.parametrize("bad", [np.eye(3, dtype=bool), np.array(EYE, dtype=str),
+                                     np.array(_with_first(EYE, None)), _ragged(EYE), "abc",
+                                     {0: 1.0}],
+                             ids=["bools", "strings", "object", "ragged", "str", "dict"])
+    def test_non_numbers_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match=self.MESSAGE):
+            ComplexSymTensor3.from_matrix(bad)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, float, np.complex64, complex])
+    def test_numeric_arrays_pass(self, dtype):
+        t = ComplexSymTensor3.from_matrix(np.array(EYE, dtype=dtype))
+        assert t.real.coeffs.tolist() == [1, 1, 1, 0, 0, 0] and not t.imag.coeffs.any()
+
+    def test_complex_lists_split(self):
+        t = ComplexSymTensor3.from_matrix([[1, 2j, 0], [2j, 1.5, 0], [0, 0, 1 - 1j]])
+        assert t.real.coeffs.tolist() == [1, 1.5, 1, 0, 0, 0]
+        assert t.imag.coeffs.tolist() == [0, 0, -1, 2, 0, 0]
+        with pytest.raises(InvalidInputError, match="expected 3x3"):
+            ComplexSymTensor3.from_matrix([1j, 0, 0])
